@@ -7,7 +7,6 @@ from .infostruct import (
     Realization,
     VarLabel,
     accessible_labels,
-    beyond,
     enumerate_realizations,
     inaccessible_labels,
     memory_labels,
@@ -27,7 +26,6 @@ from .prescription import (
     CompletePrescription,
     FullStrategy,
     PrescriptionFunction,
-    PrescriptionStrategy,
     act,
     policy_to_strategy,
     positional_transfer,

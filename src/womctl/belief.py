@@ -86,9 +86,6 @@ class BeliefState:
     def total(self) -> float:
         return sum(self.probs.values())
 
-    def fingerprint(self) -> tuple:
-        return tuple((st.key(), p) for st, p in self.support())
-
 
 def belief_linf(a: BeliefState, b: BeliefState) -> float:
     keys = {st: p for st, p in a.probs.items()}
@@ -127,9 +124,7 @@ def _actions_from(st: SufficientState, theta: CompletePrescription,
         gamma = theta.parts[j - 1]
         dom = prescription_domain(d, st.owner, j, st.time)
         if gamma.domain != dom:
-            have = set(gamma.domain.labels)
-            raise DomainMismatch(missing=sorted(set(dom.labels) - have),
-                                 extra=sorted(have - set(dom.labels)))
+            raise DomainMismatch.between(dom, gamma.domain)
         l = Realization(tuple((lbl, values[lbl]) for lbl in dom))
         u.append(act(gamma, l))
     return tuple(u)
@@ -236,9 +231,7 @@ def belief_update(s: Scenario, d: DelayMatrix, pi: BeliefState,
     on the observed new information and renormalize."""
     want = new_info_labels(d, pi.owner, pi.time + 1)
     if z.domain != want:
-        have = set(z.domain.labels)
-        raise DomainMismatch(missing=sorted(set(want.labels) - have),
-                             extra=sorted(have - set(want.labels)))
+        raise DomainMismatch.between(want, z.domain)
     for z2, pz, nxt in belief_successors(s, d, pi, theta):
         if z2 == z:
             return nxt
@@ -259,9 +252,7 @@ def belief_from_scratch(s: Scenario, d: DelayMatrix, k: int, a: Realization,
     t = len(thetas)
     want = accessible_labels(d, k, t)
     if a.domain != want:
-        have = set(a.domain.labels)
-        raise DomainMismatch(missing=sorted(set(want.labels) - have),
-                             extra=sorted(have - set(want.labels)))
+        raise DomainMismatch.between(want, a.domain)
     acc: dict[SufficientState, float] = {}
     info_t = sufficient_info_labels(d, k, t)
     for prim in enumerate_primitives(s, cap):

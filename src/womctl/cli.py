@@ -3,7 +3,7 @@
 Subcommands: validate, verify, infostruct, belief, solve, compare,
 export-strategy. Exit codes: 0 success, 1 verification failures, 2 usage or
 input errors, 3 enumeration cap exceeded. All output is deterministic for
-fixed inputs, seed, and caps, regardless of --jobs.
+fixed inputs, seed, and caps; verify output does not depend on --jobs.
 """
 
 from __future__ import annotations
@@ -113,9 +113,18 @@ def cmd_belief(args) -> int:
     if not 1 <= k <= s.agent_count:
         raise WomctlError(f"--agent must lie in 1..{s.agent_count}")
     with open(args.history, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as e:
+            raise WomctlError(f"history file is not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise WomctlError("history file must hold a JSON object with "
+                          "'accessible' and 'prescriptions'")
     thetas = parse_prescriptions(s, d, k, payload.get("prescriptions", []))
-    a = parse_realization(payload.get("accessible", "-"))
+    accessible = payload.get("accessible", "-")
+    if not isinstance(accessible, str):
+        raise WomctlError("history 'accessible' must be a realization string")
+    a = parse_realization(accessible)
     assign_cap, _ = _caps(args)
     pi = belief_from_scratch(s, d, k, a, thetas, assign_cap)
     _emit(args, dump_json(belief_json(pi)))
@@ -156,19 +165,8 @@ def cmd_compare(args) -> int:
     topo, s = load_scenario(args.scenario)
     d = min_delay_matrix(topo)
     assign_cap, policy_cap = _caps(args)
-    jobs = [("brute", None), ("common-info", None), ("structural", args.agent)]
-
-    def run(job):
-        method, agent = job
-        return _solve_one(method, s, d, agent if agent else args.agent,
-                          policy_cap, assign_cap)
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = [_solve_one(method, s, d, args.agent, policy_cap, assign_cap)
+               for method in ("brute", "common-info", "structural")]
     brute_value = results[0].value
     lines = ["method,value,candidates,seconds,match_brute"]
     for res in results:
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="run all methods and emit CSV")
     common(sp)
     sp.add_argument("--agent", type=int, default=1)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(fn=cmd_compare)
 

@@ -89,6 +89,12 @@ class DomainMismatch(WomctlError):
             f"(missing={list(self.missing)}, extra={list(self.extra)})"
         )
 
+    @classmethod
+    def between(cls, want, have) -> "DomainMismatch":
+        """The mismatch of the labels ``have`` against the declared ``want``."""
+        want, have = set(want), set(have)
+        return cls(missing=sorted(want - have), extra=sorted(have - want))
+
 
 class NotBeyond(WomctlError):
     def __init__(self, k: int, j: int):

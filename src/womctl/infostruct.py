@@ -108,9 +108,6 @@ class Realization:
                 return v
         raise KeyError(label)
 
-    def as_dict(self) -> dict[VarLabel, str]:
-        return dict(self.items)
-
     def restrict(self, labels: InfoSet) -> "Realization":
         have = dict(self.items)
         try:
@@ -133,20 +130,6 @@ class Realization:
 
 
 EMPTY_REALIZATION = Realization(())
-
-
-@dataclass(frozen=True)
-class BeyondSet:
-    """The agents at or after ``base`` in the fixed agent order."""
-
-    base: int
-    members: tuple[int, ...]
-
-
-def beyond(k: int, agent_count: int) -> BeyondSet:
-    if not 1 <= k <= agent_count:
-        raise ValueError(f"agent {k} out of range 1..{agent_count}")
-    return BeyondSet(base=k, members=tuple(range(k, agent_count + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ transfer constructs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainMismatch, UndefinedPolicyEntry, WomctlError
 from .infostruct import (
@@ -39,32 +40,20 @@ class PrescriptionFunction:
     target: int
     time: int
     domain: InfoSet
-    table: dict[Realization, str] = field(hash=False)
+    table: dict[Realization, str]
     default: str | None = None
 
-    def __hash__(self):  # tables are not hashable; identity is fine here
-        return id(self)
+    __hash__ = None  # equality compares tables, which are not hashable
 
 
 def act(gamma: PrescriptionFunction, l: Realization) -> str:
     """Apply a prescription to a private-information realization."""
     if l.domain != gamma.domain:
-        have = set(l.domain.labels)
-        want = set(gamma.domain.labels)
-        raise DomainMismatch(missing=sorted(want - have), extra=sorted(have - want))
+        raise DomainMismatch.between(gamma.domain, l.domain)
     u = gamma.table.get(l, gamma.default)
     if u is None:
         raise WomctlError(f"prescription table has no entry for {l} and no default")
     return u
-
-
-@dataclass
-class PrescriptionStrategy:
-    """Per-time tables producing prescriptions from conditioning realizations."""
-
-    owner: int
-    target: int
-    tables: dict[int, dict[Realization, PrescriptionFunction]]
 
 
 @dataclass(frozen=True)
@@ -189,9 +178,7 @@ def complete_prescription_at(s: Scenario, d: DelayMatrix, psi: FullStrategy,
     k = psi.owner
     want = accessible_labels(d, k, t)
     if a.domain != want:
-        have = set(a.domain.labels)
-        raise DomainMismatch(missing=sorted(set(want.labels) - have),
-                             extra=sorted(have - set(want.labels)))
+        raise DomainMismatch.between(want, a.domain)
     gammas = []
     for j in s.agents():
         cond = conditioning_labels(d, k, j, t)
@@ -208,26 +195,22 @@ def full_table(s: Scenario, gamma: PrescriptionFunction,
     return out
 
 
-def constant_prescription(s: Scenario, d: DelayMatrix, k: int, j: int, t: int,
-                          action: str) -> PrescriptionFunction:
-    dom = prescription_domain(d, k, j, t)
-    return PrescriptionFunction(owner=k, target=j, time=t, domain=dom,
-                                table={}, default=action)
+def support_prescriptions(s: Scenario, k: int, t: int, doms: list[InfoSet],
+                          reached) -> Iterator[CompletePrescription]:
+    """Agent k's complete prescriptions at t that differ on reached entries.
 
-
-def enumerate_prescriptions(s: Scenario, d: DelayMatrix, k: int, j: int, t: int,
-                            cap: int = DEFAULT_ENUM_CAP) -> list[PrescriptionFunction]:
-    """All prescriptions of k for j at t, in canonical table order."""
-    dom = prescription_domain(d, k, j, t)
-    reals = enumerate_realizations(s, dom, cap)
-    actions = s.action_space(j, t).values
-    total = len(actions) ** len(reals)
-    if total > cap:
-        from .errors import EnumerationCapExceeded
-        raise EnumerationCapExceeded("prescription functions", total, cap)
-    out = []
-    for combo in itertools.product(actions, repeat=len(reals)):
-        out.append(PrescriptionFunction(
-            owner=k, target=j, time=t, domain=dom,
-            table=dict(zip(reals, combo))))
-    return out
+    ``doms[j - 1]`` is target j's prescription domain and ``reached[j - 1]``
+    the set of its realizations that the caller's histories reach. Only
+    those entries are enumerated, in canonical order; every other entry
+    cannot affect the caller and takes the target's first action.
+    """
+    dreals = [sorted(reals, key=lambda r: r.items) for reals in reached]
+    axes = [itertools.product(s.action_space(j, t).values,
+                              repeat=len(dreals[j - 1]))
+            for j in s.agents()]
+    for combo in itertools.product(*axes):
+        yield CompletePrescription(owner=k, time=t, parts=tuple(
+            PrescriptionFunction(owner=k, target=j, time=t, domain=doms[j - 1],
+                                 table=dict(zip(dreals[j - 1], combo[j - 1])),
+                                 default=s.action_space(j, t).values[0])
+            for j in s.agents()))

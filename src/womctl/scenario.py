@@ -11,6 +11,7 @@ act, incur cost, advance the state.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ class Distribution:
         for v, p in self.probs.items():
             if v not in self.space.values:
                 raise WomctlError(f"distribution '{name}': unknown value {v!r}")
-            if p < 0:
+            if not math.isfinite(p) or p < 0:
                 raise BadDistribution(name, sum(self.probs.values()))
         total = sum(self.probs.get(v, 0.0) for v in self.space.values)
         if abs(total - 1.0) > DIST_TOL:

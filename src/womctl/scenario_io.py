@@ -8,6 +8,7 @@ The full grammar is documented in the repository README.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ParseError, WomctlError
@@ -60,9 +61,12 @@ def _int(tok: str, lineno: int, what: str) -> int:
 
 def _float(tok: str, lineno: int, what: str) -> float:
     try:
-        return float(tok)
+        x = float(tok)
     except ValueError:
         raise ParseError(f"{what}: expected a number, got {tok!r}", lineno) from None
+    if not math.isfinite(x):
+        raise ParseError(f"{what}: expected a finite number, got {tok!r}", lineno)
+    return x
 
 
 def _times(tok: str, lineno: int, horizon: int) -> list[int]:

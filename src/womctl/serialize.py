@@ -20,10 +20,6 @@ from .belief import BeliefState
 _LABEL_RE = re.compile(r"^([yu])(\d+)@(\d+)$")
 
 
-def label_str(l: VarLabel) -> str:
-    return str(l)
-
-
 def parse_label(text: str) -> VarLabel:
     m = _LABEL_RE.match(text.strip())
     if not m:
@@ -39,10 +35,6 @@ def label_obj(l: VarLabel) -> dict:
 
 def infoset_json(info: InfoSet) -> list[dict]:
     return [label_obj(l) for l in info]
-
-
-def realization_str(r: Realization) -> str:
-    return str(r)
 
 
 def parse_realization(text: str) -> Realization:
@@ -76,7 +68,7 @@ def dump_json(obj) -> str:
 def policy_json(g: Policy) -> dict:
     out = {}
     for (k, t), table in sorted(g.tables.items()):
-        out[f"agent{k}@t{t}"] = {realization_str(m): u
+        out[f"agent{k}@t{t}"] = {str(m): u
                                  for m, u in sorted(table.items(),
                                                     key=lambda e: e[0].items)}
     return out
@@ -88,8 +80,8 @@ def strategy_json(s: Scenario, psi: FullStrategy) -> dict:
     for (j, t), rows in sorted(psi.parts.items()):
         entry = {}
         for cond, gamma in sorted(rows.items(), key=lambda e: e[0].items):
-            entry[realization_str(cond)] = {
-                realization_str(l): u
+            entry[str(cond)] = {
+                str(l): u
                 for l, u in sorted(full_table(s, gamma).items(),
                                    key=lambda e: e[0].items)}
         parts[f"target{j}@t{t}"] = entry
@@ -110,12 +102,16 @@ def parse_prescriptions(s: Scenario, d: DelayMatrix, k: int,
     """Complete prescriptions from history-file JSON: one dict per time step,
     mapping target agent to a {domain realization: action} table."""
     from .prescription import prescription_domain
+    if not isinstance(payload, list):
+        raise WomctlError("history 'prescriptions' must be a list of steps")
     out = []
     for t, entry in enumerate(payload):
+        if not isinstance(entry, dict):
+            raise WomctlError(f"history step {t} must map agents to tables")
         parts = []
         for j in s.agents():
             table_in = entry.get(str(j))
-            if table_in is None:
+            if not isinstance(table_in, dict):
                 raise WomctlError(f"history step {t} has no table for agent {j}")
             dom = prescription_domain(d, k, j, t)
             table = {}

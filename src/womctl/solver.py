@@ -43,11 +43,12 @@ from .infostruct import (
     memory_labels,
 )
 from .prescription import (
-    CompletePrescription,
     FullStrategy,
     PrescriptionFunction,
+    conditioning_labels,
     prescription_domain,
     strategy_to_policy,
+    support_prescriptions,
 )
 from .scenario import Policy, Scenario, enumerate_primitives, propagate
 from .topology import DelayMatrix
@@ -112,6 +113,11 @@ def _raw(labels: InfoSet) -> tuple[RawLabel, ...]:
 def _value_of(ys, us, lbl: RawLabel) -> str:
     a, t, kind = lbl
     return ys[a - 1][t] if kind == int(Kind.OBS) else us[a - 1][t]
+
+
+def _realize(raw: tuple[RawLabel, ...], values) -> Realization:
+    return Realization.of({VarLabel(a, t, Kind(kind)): v
+                           for (a, t, kind), v in zip(raw, values)})
 
 
 class _Engine:
@@ -207,9 +213,67 @@ class _Engine:
                     entry[0] += p * pw
         return [tuple(e) for _, e in sorted(merged.items())]
 
-    def realization(self, k: int, t: int, memkey: tuple[str, ...]) -> Realization:
-        labels = [VarLabel(a, tt, Kind(kk)) for a, tt, kk in self.memlab[k][t]]
-        return Realization.of(dict(zip(labels, memkey)))
+
+def _search(eng: _Engine, stage_cells, what: str, policy_cap: int):
+    """Exhaustive DFS over one action per (agent, cell) at every stage.
+
+    ``stage_cells(t, particles)`` returns, per agent, the sorted cells its
+    action may depend on at t, each particle's cell index per agent, and any
+    extra data the caller needs to read the chosen tables back. Branches are
+    visited in canonical order (time, agent, cell, action) and ties keep the
+    first candidate. Returns the least expected cost, the (t, cells, extra,
+    branch) choices attaining it per stage, and the number of candidates.
+    """
+    K, T = eng.K, eng.T
+    best_value = math.inf
+    best_snapshot: list | None = None
+    stack: list = []
+    count = 0
+
+    def rec(t: int, particles):
+        nonlocal best_value, best_snapshot, count
+        if t > T:
+            count += 1
+            if count > policy_cap:
+                raise EnumerationCapExceeded(what, count, policy_cap, exact=False)
+            value = sum(p * c for (p, _x, _ys, _us, _mks, c) in particles)
+            if value < best_value:
+                best_value = value
+                best_snapshot = list(stack)
+            return
+        parts = eng.observe(t, particles)
+        cells, pcell, extra = stage_cells(t, parts)
+        option_lists = [
+            list(itertools.product(eng.actions[t][j], repeat=len(cells[j])))
+            for j in range(K)
+        ]
+        for branch in itertools.product(*option_lists):
+            u_list = [tuple(branch[j][ix[j]] for j in range(K)) for ix in pcell]
+            stack.append((t, cells, extra, branch))
+            rec(t + 1, eng.advance(t, parts, u_list))
+            stack.pop()
+
+    rec(0, eng.initial_particles())
+    assert best_snapshot is not None
+    return best_value, best_snapshot, count
+
+
+def _total_strategy(s: Scenario, d: DelayMatrix, k: int, parts,
+                    assign_cap: int) -> FullStrategy:
+    """Agent k's strategy from prescriptions read off reachable histories.
+
+    Conditioning realizations that no history reaches get the prescription
+    of the target's first action, so that every table is total.
+    """
+    for (j, t), rows in parts.items():
+        fallback = PrescriptionFunction(
+            owner=k, target=j, time=t, domain=prescription_domain(d, k, j, t),
+            table={}, default=s.action_space(j, t).values[0])
+        for a in enumerate_realizations(s, conditioning_labels(d, k, j, t),
+                                        assign_cap):
+            rows.setdefault(a, fallback)
+    return FullStrategy(owner=k, agent_count=s.agent_count, horizon=s.horizon,
+                        parts=parts)
 
 
 def brute_force_optimal(s: Scenario, d: DelayMatrix,
@@ -224,45 +288,22 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
     """
     start = time.perf_counter()
     eng = _Engine(s, d)
-    K, T = eng.K, eng.T
-    best_value = math.inf
-    best_snapshot: list | None = None
-    stack: list = []
-    count = 0
+    K = eng.K
 
-    def rec(t: int, particles):
-        nonlocal best_value, best_snapshot, count
-        if t > T:
-            count += 1
-            if count > policy_cap:
-                raise EnumerationCapExceeded(
-                    "policy candidates", count, policy_cap, exact=False)
-            value = sum(p * c for (p, _x, _ys, _us, _mks, c) in particles)
-            if value < best_value:
-                best_value = value
-                best_snapshot = list(stack)
-            return
-        parts = eng.observe(t, particles)
+    def memkeys(t: int, parts):
         reach = [sorted({pt[4][j] for pt in parts}) for j in range(K)]
         pidx = [tuple(reach[j].index(pt[4][j]) for j in range(K)) for pt in parts]
-        option_lists = [
-            list(itertools.product(eng.actions[t][j], repeat=len(reach[j])))
-            for j in range(K)
-        ]
-        for branch in itertools.product(*option_lists):
-            u_list = [tuple(branch[j][ix[j]] for j in range(K)) for ix in pidx]
-            stack.append((t, reach, branch))
-            rec(t + 1, eng.advance(t, parts, u_list))
-            stack.pop()
+        return reach, pidx, None
 
-    rec(0, eng.initial_particles())
-    assert best_snapshot is not None
-    policy = Policy(agent_count=K, horizon=T)
-    for t, reach, branch in best_snapshot:
+    value, snapshot, count = _search(eng, memkeys, "policy candidates",
+                                     policy_cap)
+    policy = Policy(agent_count=K, horizon=eng.T)
+    for t, reach, _extra, branch in snapshot:
         for j in range(K):
             for memkey, u in zip(reach[j], branch[j]):
-                policy.set_action(j + 1, t, eng.realization(j + 1, t, memkey), u)
-    return SolveResult(method="brute", agent=None, value=best_value,
+                policy.set_action(j + 1, t,
+                                  _realize(eng.memlab[j + 1][t], memkey), u)
+    return SolveResult(method="brute", agent=None, value=value,
                        argmin=policy, candidates=count,
                        seconds=time.perf_counter() - start)
 
@@ -275,28 +316,6 @@ def _belief_reps_intern(reps: list[BeliefState], b: BeliefState) -> int:
             return i
     reps.append(b)
     return len(reps) - 1
-
-
-def _support_prescriptions(s: Scenario, d: DelayMatrix, k: int, t: int,
-                           pi: BeliefState):
-    """Complete prescriptions restricted to the belief's support, in canonical
-    order. Off-support entries cannot affect cost or filtering."""
-    doms = [prescription_domain(d, k, j, t) for j in s.agents()]
-    dreals = []
-    for j in s.agents():
-        seen = {st.info.restrict(doms[j - 1]) for st, _ in pi.support()}
-        dreals.append(sorted(seen, key=lambda r: r.items))
-    option_axes = [
-        itertools.product(s.action_space(j, t).values,
-                          repeat=len(dreals[j - 1]))
-        for j in s.agents()
-    ]
-    for combo in itertools.product(*option_axes):
-        parts = tuple(
-            PrescriptionFunction(owner=k, target=j, time=t, domain=doms[j - 1],
-                                 table=dict(zip(dreals[j - 1], combo[j - 1])))
-            for j in s.agents())
-        yield CompletePrescription(owner=k, time=t, parts=parts)
 
 
 def _initial_beliefs(s: Scenario, d: DelayMatrix, k: int, assign_cap: int):
@@ -345,11 +364,15 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     # options[t][node] = list of (theta, stage_cost, [(pz, child_index)])
     options: list[list[list]] = []
     for t in range(T + 1):
+        doms = [prescription_domain(d, K, j, t) for j in s.agents()]
         nxt: list[BeliefState] = []
         per_node: list[list] = []
         for pi in levels[t]:
+            # off-support entries cannot affect cost or filtering
+            reached = [{st.info.restrict(dom) for st, _ in pi.support()}
+                       for dom in doms]
             rows = []
-            for theta in _support_prescriptions(s, d, K, t, pi):
+            for theta in support_prescriptions(s, K, t, doms, reached):
                 candidates += 1
                 if candidates > policy_cap:
                     raise EnumerationCapExceeded(
@@ -390,11 +413,7 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     def record(t: int, node: int, a: Realization):
         theta, _c, succ = options[t][node][greedy[t][node]]
         for j in s.agents():
-            gamma = theta.parts[j - 1]
-            parts[(j, t)][a] = PrescriptionFunction(
-                owner=K, target=j, time=t, domain=gamma.domain,
-                table=dict(gamma.table),
-                default=s.action_space(j, t).values[0])
+            parts[(j, t)][a] = theta.parts[j - 1]
         if t < T:
             # the shared information of the successor class grows by the
             # new-information realization attached to the branch
@@ -403,18 +422,9 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
 
     for a, _pa, n in root_nodes:
         record(0, n, a)
-    for t in s.times():
-        a_labels = accessible_labels(d, K, t)
-        for j in s.agents():
-            dom = prescription_domain(d, K, j, t)
-            fallback = PrescriptionFunction(
-                owner=K, target=j, time=t, domain=dom, table={},
-                default=s.action_space(j, t).values[0])
-            for a in enumerate_realizations(s, a_labels, assign_cap):
-                parts[(j, t)].setdefault(a, fallback)
-    psi = FullStrategy(owner=K, agent_count=K, horizon=T, parts=parts)
     return SolveResult(method="common-info", agent=None, value=total,
-                       argmin=psi, candidates=candidates,
+                       argmin=_total_strategy(s, d, K, parts, assign_cap),
+                       candidates=candidates,
                        seconds=time.perf_counter() - start)
 
 
@@ -440,35 +450,14 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                for i in range(1, K + 1)}
     suff_raw = {i: [_raw(sufficient_info_labels(d, i, t)) for t in range(T + 1)]
                 for i in watchers}
-    dom_raw = [[None] * (T + 1) for _ in range(K + 1)]
-    doms: list[list[InfoSet | None]] = [[None] * (T + 1) for _ in range(K + 1)]
-    for j in range(1, K + 1):
-        for t in range(T + 1):
-            doms[j][t] = prescription_domain(d, k, j, t)
-            dom_raw[j][t] = _raw(doms[j][t])
+    doms = {(j, t): prescription_domain(d, k, j, t)
+            for j in range(1, K + 1) for t in range(T + 1)}
+    dom_raw = {key: _raw(dom) for key, dom in doms.items()}
     cond_agent = [None] + [k if j < k else j for j in range(1, K + 1)]
     tuple_agents = [None] + [[i for i in watchers if i >= cond_agent[j]]
                              for j in range(1, K + 1)]
 
-    best_value = math.inf
-    best_snapshot: list | None = None
-    stack: list = []
-    count = 0
-
-    def rec(t: int, particles):
-        nonlocal best_value, best_snapshot, count
-        if t > T:
-            count += 1
-            if count > policy_cap:
-                raise EnumerationCapExceeded(
-                    "structural strategy candidates", count, policy_cap,
-                    exact=False)
-            value = sum(p * c for (p, _x, _ys, _us, _mks, c) in particles)
-            if value < best_value:
-                best_value = value
-                best_snapshot = list(stack)
-            return
-        parts = eng.observe(t, particles)
+    def belief_cells(t: int, parts):
         # accessible keys and information states per watcher agent
         akeys = {i: [tuple(_value_of(pt[2], pt[3], lbl) for lbl in acc_raw[i][t])
                      for pt in parts] for i in watchers}
@@ -480,91 +469,56 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                                      for lbl in suff_raw[i][t]))
                 bucket = groups.setdefault(ak, {})
                 bucket[skey] = bucket.get(skey, 0.0) + pt[0]
-            reps: list[dict[tuple, float]] = []
+            reps: list[BeliefState] = []
             ids: dict[tuple, int] = {}
             for ak in sorted(groups):
                 dist = groups[ak]
                 mass = sum(dist.values())
-                dist = {key: q / mass for key, q in dist.items()}
-                found = None
-                for ridx, rdist in enumerate(reps):
-                    keys = set(dist) | set(rdist)
-                    if all(abs(dist.get(key, 0.0) - rdist.get(key, 0.0))
-                           <= BELIEF_TOL for key in keys):
-                        found = ridx
-                        break
-                if found is None:
-                    reps.append(dist)
-                    found = len(reps) - 1
-                ids[ak] = found
+                # keyed by (x, private values): interning reads probabilities only
+                ids[ak] = _belief_reps_intern(reps, BeliefState(
+                    owner=i, time=t,
+                    probs={key: q / mass for key, q in dist.items()}))
             belief_id[i] = ids
         # measurability cells per target: (belief-tuple id, domain realization)
-        cells: list[list[tuple]] = [None] * (K + 1)
-        pcell: list[list[int]] = [[0] * (K + 1) for _ in parts]
-        cond_pairs: list[tuple] = [None] * (K + 1)
+        cells: list[list[tuple]] = []
+        pcell: list[list[int]] = [[] for _ in parts]
+        cond_pairs: list[tuple] = []
         for j in range(1, K + 1):
             c = cond_agent[j]
             gid_of_ak: dict[tuple, tuple] = {}
-            for idx, pt in enumerate(parts):
+            for idx in range(len(parts)):
                 ak = akeys[c][idx]
                 if ak not in gid_of_ak:
                     gid_of_ak[ak] = tuple(belief_id[i][akeys[i][idx]]
                                           for i in tuple_agents[j])
-            cell_set = set()
-            keys = []
-            for idx, pt in enumerate(parts):
-                gid = gid_of_ak[akeys[c][idx]]
-                domkey = tuple(_value_of(pt[2], pt[3], lbl)
-                               for lbl in dom_raw[j][t])
-                keys.append((gid, domkey))
-                cell_set.add((gid, domkey))
-            cells[j] = sorted(cell_set)
-            index = {cell: n for n, cell in enumerate(cells[j])}
+            keys = [(gid_of_ak[akeys[c][idx]],
+                     tuple(_value_of(pt[2], pt[3], lbl) for lbl in dom_raw[(j, t)]))
+                    for idx, pt in enumerate(parts)]
+            cells.append(sorted(set(keys)))
+            index = {cell: n for n, cell in enumerate(cells[-1])}
             for idx, key in enumerate(keys):
-                pcell[idx][j] = index[key]
-            cond_pairs[j] = tuple(sorted(gid_of_ak.items()))
-        option_lists = [
-            list(itertools.product(eng.actions[t][j - 1], repeat=len(cells[j])))
-            for j in range(1, K + 1)
-        ]
-        for branch in itertools.product(*option_lists):
-            u_list = [tuple(branch[j - 1][pcell[idx][j]] for j in range(1, K + 1))
-                      for idx in range(len(parts))]
-            stack.append((t, tuple(cells[1:]), tuple(cond_pairs[1:]), branch))
-            rec(t + 1, eng.advance(t, parts, u_list))
-            stack.pop()
+                pcell[idx].append(index[key])
+            cond_pairs.append(tuple(sorted(gid_of_ak.items())))
+        return cells, pcell, cond_pairs
 
-    rec(0, eng.initial_particles())
-    assert best_snapshot is not None
-
+    value, snapshot, count = _search(eng, belief_cells,
+                                     "structural strategy candidates",
+                                     policy_cap)
     parts_out: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {
         (j, t): {} for j in range(1, K + 1) for t in range(T + 1)}
-    for t, cells_t, cond_pairs_t, branch in best_snapshot:
+    for t, cells_t, cond_pairs_t, branch in snapshot:
         for j in range(1, K + 1):
-            c = cond_agent[j]
-            labels = [VarLabel(a, tt, Kind(kk)) for a, tt, kk in acc_raw[c][t]]
-            dlabels = [VarLabel(a, tt, Kind(kk)) for a, tt, kk in dom_raw[j][t]]
             for ak, gid in cond_pairs_t[j - 1]:
-                table = {}
-                for (g, domkey), u in zip(cells_t[j - 1], branch[j - 1]):
-                    if g == gid:
-                        table[Realization.of(dict(zip(dlabels, domkey)))] = u
-                cond = Realization.of(dict(zip(labels, ak)))
-                parts_out[(j, t)][cond] = PrescriptionFunction(
-                    owner=k, target=j, time=t, domain=doms[j][t], table=table,
-                    default=s.action_space(j, t).values[0])
-    for t in range(T + 1):
-        for j in range(1, K + 1):
-            c = cond_agent[j]
-            fallback = PrescriptionFunction(
-                owner=k, target=j, time=t, domain=doms[j][t], table={},
-                default=s.action_space(j, t).values[0])
-            for a in enumerate_realizations(
-                    s, accessible_labels(d, c, t), assign_cap):
-                parts_out[(j, t)].setdefault(a, fallback)
-    psi = FullStrategy(owner=k, agent_count=K, horizon=T, parts=parts_out)
-    return SolveResult(method="structural", agent=k, value=best_value,
-                       argmin=psi, candidates=count,
+                table = {_realize(dom_raw[(j, t)], domkey): u
+                         for (g, domkey), u in zip(cells_t[j - 1], branch[j - 1])
+                         if g == gid}
+                parts_out[(j, t)][_realize(acc_raw[cond_agent[j]][t], ak)] = \
+                    PrescriptionFunction(owner=k, target=j, time=t,
+                                         domain=doms[(j, t)], table=table,
+                                         default=s.action_space(j, t).values[0])
+    return SolveResult(method="structural", agent=k, value=value,
+                       argmin=_total_strategy(s, d, k, parts_out, assign_cap),
+                       candidates=count,
                        seconds=time.perf_counter() - start)
 
 

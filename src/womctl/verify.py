@@ -37,13 +37,13 @@ from .infostruct import (
 )
 from .prescription import (
     CompletePrescription,
-    PrescriptionFunction,
     act,
     complete_prescription_at,
     policy_to_strategy,
     positional_transfer,
     prescription_domain,
     strategy_to_policy,
+    support_prescriptions,
 )
 from .randgen import (
     random_scenario,
@@ -56,6 +56,7 @@ from .scenario import Scenario, enumerate_primitives, propagate, simulate
 from .scenario_io import load_scenario
 from .solver import (
     DEFAULT_POLICY_CAP,
+    _belief_reps_intern,
     brute_force_optimal,
     common_info_dp,
     domain_comparison,
@@ -158,32 +159,6 @@ class HistoryNode:
         default_factory=list)
 
 
-def support_thetas(s: Scenario, d: DelayMatrix, k: int, t: int,
-                   members) -> list[CompletePrescription]:
-    """Complete prescriptions distinct on the realizations the members hit.
-
-    Entries off the reachable support cannot change the conditioning event;
-    they are filled with the first action so tables stay total in effect.
-    """
-    doms = [prescription_domain(d, k, j, t) for j in s.agents()]
-    dreals = []
-    for j in s.agents():
-        seen = {Realization(tuple((l, values[l]) for l in doms[j - 1]))
-                for _p, _x, values, _prim in members}
-        dreals.append(sorted(seen, key=lambda r: r.items))
-    axes = [itertools.product(s.action_space(j, t).values,
-                              repeat=len(dreals[j - 1]))
-            for j in s.agents()]
-    out = []
-    for combo in itertools.product(*axes):
-        parts = tuple(PrescriptionFunction(
-            owner=k, target=j, time=t, domain=doms[j - 1],
-            table=dict(zip(dreals[j - 1], combo[j - 1])),
-            default=s.action_space(j, t).values[0]) for j in s.agents())
-        out.append(CompletePrescription(owner=k, time=t, parts=parts))
-    return out
-
-
 def history_tree(s: Scenario, d: DelayMatrix, k: int,
                  assign_cap: int = DEFAULT_ENUM_CAP,
                  node_cap: int = DEFAULT_POLICY_CAP
@@ -215,7 +190,11 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
             raise EnumerationCapExceeded(
                 "conditioning histories", len(all_nodes), node_cap,
                 exact=False)
-        node.theta_options = support_thetas(s, d, k, t, members)
+        # entries off the members' support cannot change the conditioning
+        doms = [prescription_domain(d, k, j, t) for j in s.agents()]
+        node.theta_options = list(support_prescriptions(s, k, t, doms, [
+            {Realization(tuple((l, values[l]) for l in dom))
+             for _p, _x, values, _prim in members} for dom in doms]))
         if t == T:
             return node
         z_labels = new_info_labels(d, k, t + 1)
@@ -249,15 +228,6 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     for a0 in sorted(roots_acc, key=lambda r: r.items):
         roots.append(make_node(0, a0, (), roots_acc[a0]))
     return roots, all_nodes
-
-
-def node_state(s: Scenario, d: DelayMatrix, node: HistoryNode,
-               member) -> SufficientState:
-    """The sufficient-state realization of one member assignment."""
-    _p, x, values, _prim = member
-    info = sufficient_info_labels(d, node.agent, node.time)
-    return SufficientState(owner=node.agent, time=node.time, x=x,
-                           info=Realization(tuple((l, values[l]) for l in info)))
 
 
 def theta_fingerprint(theta: CompletePrescription) -> tuple:
@@ -700,14 +670,7 @@ def check_filter_policy_independence(inp: VerifyInputs) -> CheckResult:
             seen: dict[tuple, BeliefState] = {}
             reps: list[BeliefState] = []
             for node, pi in _chained_beliefs(s, d, roots):
-                rid = None
-                for i, r in enumerate(reps):
-                    if belief_linf(r, pi) <= BELIEF_TOL:
-                        rid = i
-                        break
-                if rid is None:
-                    reps.append(pi)
-                    rid = len(reps) - 1
+                rid = _belief_reps_intern(reps, pi)
                 for ti, edges in enumerate(node.children):
                     theta = node.theta_options[ti]
                     tkey = theta_fingerprint(theta)
@@ -735,30 +698,21 @@ def check_markov_property(inp: VerifyInputs) -> CheckResult:
         for k in s.agents():
             roots, _nodes = history_tree(s, d, k, inp.assign_cap,
                                          inp.policy_cap)
-            pairs = _chained_beliefs(s, d, roots)
             reps: list[BeliefState] = []
-
-            def rep_of(b):
-                for i, r in enumerate(reps):
-                    if belief_linf(r, b) <= BELIEF_TOL:
-                        return i
-                reps.append(b)
-                return len(reps) - 1
-
             groups: dict[tuple, list] = {}
-            for node, pi in pairs:
+            for node, pi in _chained_beliefs(s, d, roots):
                 if node.time >= s.horizon:
                     continue
-                rid = rep_of(pi)
+                rid = _belief_reps_intern(reps, pi)
                 for ti, edges in enumerate(node.children):
                     theta = node.theta_options[ti]
                     # successor law from the history itself: conditional
                     # probability of each outcome times the successor class
                     law = {}
-                    for z, w, child in edges:
-                        nxt = belief_update(s, d, pi, theta, z)
-                        law[rep_of(nxt)] = law.get(rep_of(nxt), 0.0) + \
-                            w / node.weight
+                    for z, w, _child in edges:
+                        nid = _belief_reps_intern(
+                            reps, belief_update(s, d, pi, theta, z))
+                        law[nid] = law.get(nid, 0.0) + w / node.weight
                     groups.setdefault(
                         (node.time, rid, theta_fingerprint(theta)), []
                     ).append(law)

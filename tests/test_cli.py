@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from womctl.fixtures import fixture_path
 
 INSTANCE_A = fixture_path("instance_a.wom")
@@ -57,6 +59,19 @@ def test_validate_rejects_bad_distribution(tmp_path):
     r = womctl("validate", "--scenario", str(bad))
     assert r.returncode == 2
     assert "sums to" in r.stderr
+
+
+@pytest.mark.parametrize("old, new", [
+    ("init a 0.3", "init a nan"),
+    ("c t=* a u0 0.4", "c t=* a u0 nan"),
+])
+def test_non_finite_numbers_are_rejected(tmp_path, old, new):
+    bad = tmp_path / "bad.wom"
+    bad.write_text(TINY.replace(old, new), encoding="utf-8")
+    for args in (("validate",), ("solve", "--method", "brute")):
+        r = womctl(*args, "--scenario", str(bad))
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "finite" in r.stderr
 
 
 def test_validate_missing_file_is_an_input_error():
@@ -185,3 +200,17 @@ def test_belief_command_rejects_wrong_domain(tmp_path):
     r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
                "--history", str(history))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"accessible": "y1@0=a",',
+    json.dumps({"accessible": "y1@0=a,y2@0=a", "prescriptions": 5}),
+    json.dumps([{"accessible": "y1@0=a,y2@0=a"}]),
+])
+def test_belief_command_rejects_malformed_history(tmp_path, text):
+    history = tmp_path / "history.json"
+    history.write_text(text, encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")

@@ -7,7 +7,6 @@ from womctl.infostruct import (
     Realization,
     accessible_labels,
     act,
-    beyond,
     enumerate_realizations,
     inaccessible_labels,
     memory_labels,
@@ -79,10 +78,21 @@ def test_inaccessible_requires_target_at_or_after_base():
 
 
 def test_beyond_sets():
-    assert beyond(3, 3).members == (3,)
-    assert beyond(1, 4).members == (1, 2, 3, 4)
-    for k in range(1, 5):
-        assert len(beyond(k, 4).members) == 4 - k + 1
+    # the agents at or after k, range(k, K + 1), are exactly the targets
+    # for which k's inaccessible set is defined
+    for K in (3, 4):
+        ring = min_delay_matrix(Topology.of(
+            K, [(a, a % K + 1, 1) for a in range(1, K + 1)]))
+        for k in range(1, K + 1):
+            admitted = []
+            for j in range(1, K + 1):
+                try:
+                    inaccessible_labels(ring, k, j, 1)
+                except NotBeyond:
+                    continue
+                admitted.append(j)
+            assert admitted == list(range(k, K + 1))
+            assert len(admitted) == K - k + 1
 
 
 def test_enumerate_realizations_trivial_and_counts(inst_a):

@@ -10,6 +10,7 @@ from womctl.infostruct import (
     obs as obs_label,
 )
 from womctl.prescription import (
+    CompletePrescription,
     PrescriptionFunction,
     act,
     conditioning_labels,
@@ -204,3 +205,14 @@ def test_generated_domains_match_the_domain_rule(inst_a):
             for cond, gamma in rows.items():
                 assert gamma.domain == want_dom
                 assert cond.domain == want_cond
+
+
+def test_prescription_functions_are_unhashable(inst_a):
+    _topo, s, d = inst_a
+    dom = prescription_domain(d, 2, 1, 1)
+    gamma = PrescriptionFunction(owner=2, target=1, time=1, domain=dom,
+                                 table={}, default="u0")
+    with pytest.raises(TypeError):
+        hash(gamma)
+    with pytest.raises(TypeError):
+        hash(CompletePrescription(owner=2, time=1, parts=(gamma,)))

@@ -11,7 +11,13 @@ from womctl.errors import (
 )
 from womctl.infostruct import memory_labels
 from womctl.randgen import random_total_policy, sub_rng
-from womctl.scenario import Policy, joint_distribution, simulate
+from womctl.scenario import (
+    Distribution,
+    FiniteSpace,
+    Policy,
+    joint_distribution,
+    simulate,
+)
 from womctl.scenario_io import loads_scenario
 from womctl.solver import evaluate_policy
 from womctl.topology import min_delay_matrix
@@ -75,6 +81,9 @@ def test_bad_distribution_sum_is_reported():
     text = MINIMAL.replace("init s 1.0", "init s 0.9")
     with pytest.raises(BadDistribution):
         loads_scenario(text)
+    for p in (math.nan, math.inf):
+        with pytest.raises(BadDistribution):
+            Distribution(FiniteSpace("x", ("s",)), {"s": p}).validate("init")
 
 
 def test_unknown_keys_are_rejected():
