@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from .belief import belief_from_scratch
 from .errors import EnumerationCapExceeded, WomctlError
 from .infostruct import DEFAULT_ENUM_CAP, accessible_labels, inaccessible_labels, memory_labels, new_info_labels
 from .scenario_io import load_scenario
@@ -55,6 +56,16 @@ def _caps(args) -> tuple[int, int]:
     return cap, cap
 
 
+def _load(args):
+    """The scenario named by ``--scenario`` and its delay matrix; an
+    ``--agent``, where the subcommand takes one, must name one of its agents."""
+    topo, s = load_scenario(args.scenario)
+    k = getattr(args, "agent", None)
+    if k is not None and not 1 <= k <= s.agent_count:
+        raise WomctlError(f"--agent must lie in 1..{s.agent_count}")
+    return s, min_delay_matrix(topo)
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -84,8 +95,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_infostruct(args) -> int:
-    topo, s = load_scenario(args.scenario)
-    d = min_delay_matrix(topo)
+    s, d = _load(args)
     t = args.t
     if not 0 <= t <= s.horizon:
         raise WomctlError(f"--t must lie in 0..{s.horizon}")
@@ -106,12 +116,8 @@ def cmd_infostruct(args) -> int:
 
 
 def cmd_belief(args) -> int:
-    from .belief import belief_from_scratch
-    topo, s = load_scenario(args.scenario)
-    d = min_delay_matrix(topo)
+    s, d = _load(args)
     k = args.agent
-    if not 1 <= k <= s.agent_count:
-        raise WomctlError(f"--agent must lie in 1..{s.agent_count}")
     with open(args.history, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -143,8 +149,7 @@ def _solve_one(method: str, s, d, agent: int, policy_cap: int,
 
 
 def cmd_solve(args) -> int:
-    topo, s = load_scenario(args.scenario)
-    d = min_delay_matrix(topo)
+    s, d = _load(args)
     assign_cap, policy_cap = _caps(args)
     res = _solve_one(args.method, s, d, args.agent, policy_cap, assign_cap)
     payload = {
@@ -162,8 +167,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    topo, s = load_scenario(args.scenario)
-    d = min_delay_matrix(topo)
+    s, d = _load(args)
     assign_cap, policy_cap = _caps(args)
     results = [_solve_one(method, s, d, args.agent, policy_cap, assign_cap)
                for method in ("brute", "common-info", "structural")]
@@ -179,8 +183,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export_strategy(args) -> int:
-    topo, s = load_scenario(args.scenario)
-    d = min_delay_matrix(topo)
+    s, d = _load(args)
     assign_cap, policy_cap = _caps(args)
     if args.method == "brute":
         raise WomctlError("export-strategy supports common-info or structural")

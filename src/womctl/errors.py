@@ -86,7 +86,8 @@ class DomainMismatch(WomctlError):
         self.missing, self.extra = tuple(missing), tuple(extra)
         super().__init__(
             f"realization does not match the declared domain "
-            f"(missing={list(self.missing)}, extra={list(self.extra)})"
+            f"(missing=[{', '.join(map(str, self.missing))}], "
+            f"extra=[{', '.join(map(str, self.extra))}])"
         )
 
     @classmethod

@@ -6,6 +6,8 @@ batches reproduce bit-for-bit from a single seed.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .infostruct import (
@@ -71,7 +73,6 @@ def random_scenario(rng: Rng, topology: Topology, horizon: int,
     v_values = ("v0", "v1") if noisy_obs else ("v0",)
     v_spaces = {k: FiniteSpace(f"v{k}", v_values) for k in range(1, K + 1)}
 
-    import itertools
     profiles = list(itertools.product(*(action_spaces[k].values
                                         for k in range(1, K + 1))))
     transition, cost, observation = {}, {}, {}

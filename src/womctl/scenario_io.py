@@ -69,6 +69,13 @@ def _float(tok: str, lineno: int, what: str) -> float:
     return x
 
 
+def _agent(tok: str, lineno: int, K: int) -> int:
+    k = _int(tok, lineno, "agent")
+    if not 1 <= k <= K:
+        raise ParseError(f"agent {k} out of range 1..{K}", lineno)
+    return k
+
+
 def _times(tok: str, lineno: int, horizon: int) -> list[int]:
     if not tok.startswith("t="):
         raise ParseError(f"expected t=<n> or t=*, got {tok!r}", lineno)
@@ -88,20 +95,24 @@ def loads_scenario(text: str) -> tuple[Topology, Scenario]:
     def section(name: str):
         return [(ln, toks) for ln, sec, toks in rows if sec == name]
 
-    # agents / horizon first: later sections need K and T
-    agent_rows = section("agents")
-    if len(agent_rows) != 1:
-        raise ParseError("section [agents] must contain exactly one 'count' row")
-    K = _int(agent_rows[0][1][1], agent_rows[0][0], "agent count")
-    if K < 1:
-        raise ParseError("agent count must be >= 1", agent_rows[0][0])
+    def single_int(name: str, key: str, what: str) -> tuple[int, int]:
+        # the one '<key> <integer>' row of a section, and its line
+        found = section(name)
+        if len(found) != 1:
+            raise ParseError(
+                f"section [{name}] must contain exactly one '{key}' row")
+        ln, toks = found[0]
+        if len(toks) != 2:
+            raise ParseError(f"{key} rows are: {key} <{what}>", ln)
+        return _int(toks[1], ln, what), ln
 
-    horizon_rows = section("horizon")
-    if len(horizon_rows) != 1:
-        raise ParseError("section [horizon] must contain exactly one 'T' row")
-    T = _int(horizon_rows[0][1][1], horizon_rows[0][0], "horizon")
+    # agents / horizon first: later sections need K and T
+    K, ln = single_int("agents", "count", "agent count")
+    if K < 1:
+        raise ParseError("agent count must be >= 1", ln)
+    T, ln = single_int("horizon", "T", "horizon")
     if T < 0:
-        raise ParseError("horizon must be >= 0", horizon_rows[0][0])
+        raise ParseError("horizon must be >= 0", ln)
 
     links = []
     for ln, toks in section("links"):
@@ -133,9 +144,9 @@ def loads_scenario(text: str) -> tuple[Topology, Scenario]:
                     raise ParseError("wnoise space declared twice", ln)
                 w_space = space
         else:
-            k = _int(toks[1], ln, "agent")
-            if not 1 <= k <= K:
-                raise ParseError(f"agent {k} out of range 1..{K}", ln)
+            if len(toks) < 2:
+                raise ParseError(f"{kind} rows are: {kind} <agent> <values>", ln)
+            k = _agent(toks[1], ln, K)
             rest = toks[2:]
             if kind == "action" and rest and rest[0].startswith("t="):
                 # per-step override of the otherwise time-invariant set
@@ -192,9 +203,7 @@ def loads_scenario(text: str) -> tuple[Topology, Scenario]:
         else:
             if len(toks) != 5:
                 raise ParseError("v rows are: v <agent> t=<t> <value> <prob>", ln)
-            k = _int(toks[1], ln, "agent")
-            if not 1 <= k <= K:
-                raise ParseError(f"agent {k} out of range 1..{K}", ln)
+            k = _agent(toks[1], ln, K)
             for t in _times(toks[2], ln, T):
                 if toks[3] in v_probs[(k, t)]:
                     raise ParseError(
@@ -220,7 +229,7 @@ def loads_scenario(text: str) -> tuple[Topology, Scenario]:
     for ln, toks in section("observation"):
         if len(toks) != 6:
             raise ParseError("h rows are: h <agent> t=<t> <x> <v> <y>", ln)
-        k = _int(toks[1], ln, "agent")
+        k = _agent(toks[1], ln, K)
         x, v, y = toks[3], toks[4], toks[5]
         for t in _times(toks[2], ln, T):
             key = (k, t, x, v)

@@ -12,7 +12,13 @@ import re
 
 from .errors import WomctlError
 from .infostruct import InfoSet, Kind, Realization, VarLabel
-from .prescription import CompletePrescription, FullStrategy, PrescriptionFunction, full_table
+from .prescription import (
+    CompletePrescription,
+    FullStrategy,
+    PrescriptionFunction,
+    full_table,
+    prescription_domain,
+)
 from .scenario import Policy, Scenario
 from .topology import DelayMatrix
 from .belief import BeliefState
@@ -101,7 +107,6 @@ def parse_prescriptions(s: Scenario, d: DelayMatrix, k: int,
                         payload: list) -> tuple[CompletePrescription, ...]:
     """Complete prescriptions from history-file JSON: one dict per time step,
     mapping target agent to a {domain realization: action} table."""
-    from .prescription import prescription_domain
     if not isinstance(payload, list):
         raise WomctlError("history 'prescriptions' must be a list of steps")
     out = []

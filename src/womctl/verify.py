@@ -52,7 +52,13 @@ from .randgen import (
     random_total_policy,
     sub_rng,
 )
-from .scenario import Scenario, enumerate_primitives, propagate, simulate
+from .scenario import (
+    Scenario,
+    enumerate_primitives,
+    joint_distribution,
+    propagate,
+    simulate,
+)
 from .scenario_io import load_scenario
 from .solver import (
     DEFAULT_POLICY_CAP,
@@ -251,46 +257,50 @@ class CheckResult:
 @dataclass
 class VerifyInputs:
     seed: int
-    graph_cases: list[tuple[str, Topology]]
-    info_cases: list[tuple[str, Topology, int]]     # (name, topology, horizon)
-    scenario_cases: list[tuple[str, Topology, Scenario]]
-    solver_cases: list[tuple[str, Topology, Scenario]]
+    graph_cases: list[tuple[str, Topology, DelayMatrix]]
+    # (name, topology, delays, horizon)
+    info_cases: list[tuple[str, Topology, DelayMatrix, int]]
+    # the model checks, the filter checks and the solver checks run on these
+    scenario_cases: list[tuple[str, Topology, DelayMatrix, Scenario]]
     policy_cap: int = DEFAULT_POLICY_CAP
     assign_cap: int = DEFAULT_ENUM_CAP
+    # results of the checks that share one pass over the cases, by name
+    shared: dict[str, CheckResult] = field(default_factory=dict, init=False,
+                                           repr=False)
 
 
 def build_inputs(scenario_path: str | None, random_n: int, seed: int,
                  policy_cap: int = DEFAULT_POLICY_CAP,
                  assign_cap: int = DEFAULT_ENUM_CAP) -> VerifyInputs:
-    graph_cases, info_cases, scenario_cases, solver_cases = [], [], [], []
+    graph_cases, info_cases, scenario_cases = [], [], []
     if scenario_path is not None:
         topo, s = load_scenario(scenario_path)
-        graph_cases.append(("scenario", topo))
-        info_cases.append(("scenario", topo, s.horizon))
-        scenario_cases.append(("scenario", topo, s))
-        solver_cases.append(("scenario", topo, s))
+        d = min_delay_matrix(topo)
+        graph_cases.append(("scenario", topo, d))
+        info_cases.append(("scenario", topo, d, s.horizon))
+        scenario_cases.append(("scenario", topo, d, s))
     for i in range(random_n):
-        graph_cases.append(
-            (f"graph-{i}", random_topology(sub_rng(seed, 1, i), max_agents=6)))
+        topo = random_topology(sub_rng(seed, 1, i), max_agents=6)
+        graph_cases.append((f"graph-{i}", topo, min_delay_matrix(topo)))
         rng = sub_rng(seed, 2, i)
         topo = random_topology(rng, max_agents=5)
-        info_cases.append((f"info-{i}", topo, int(rng.integers(0, 7))))
+        info_cases.append((f"info-{i}", topo, min_delay_matrix(topo),
+                           int(rng.integers(0, 7))))
     if random_n > 0:
         for i in range(2):
             rng = sub_rng(seed, 3, i)
             topo = random_topology(rng, max_agents=2, min_agents=2)
             s = random_scenario(rng, topo, horizon=1)
-            scenario_cases.append((f"scn-{i}", topo, s))
-            solver_cases.append((f"scn-{i}", topo, s))
+            d = min_delay_matrix(topo)
+            scenario_cases.append((f"scn-{i}", topo, d, s))
         rng = sub_rng(seed, 3, 2)
         topo = Topology.of(1, [])
         s = random_scenario(rng, topo, horizon=1, noisy_obs=True)
-        scenario_cases.append(("scn-single", topo, s))
-        solver_cases.append(("scn-single", topo, s))
+        d = min_delay_matrix(topo)
+        scenario_cases.append(("scn-single", topo, d, s))
     return VerifyInputs(seed=seed, graph_cases=graph_cases,
                         info_cases=info_cases, scenario_cases=scenario_cases,
-                        solver_cases=solver_cases, policy_cap=policy_cap,
-                        assign_cap=assign_cap)
+                        policy_cap=policy_cap, assign_cap=assign_cap)
 
 
 def _ok(name, desc, instances, worst=0.0):
@@ -301,11 +311,46 @@ def _fail(name, desc, instances, worst, witness):
     return CheckResult(name, desc, instances, False, worst, witness)
 
 
+@dataclass
+class _Tally:
+    """Running instance count and worst deviation of one check that is fed
+    by a shared pass; the first instance that takes the worst past
+    ``BELIEF_TOL`` ends the check and is its counterexample."""
+
+    name: str
+    description: str
+    instances: int = 0
+    worst: float = 0.0
+    counterexample: dict | None = None
+
+    @property
+    def open(self) -> bool:
+        return self.counterexample is None
+
+    def see(self, deviation: float, witness: dict) -> None:
+        if self.open:
+            self.instances += 1
+            self.worst = max(self.worst, deviation)
+            if self.worst > BELIEF_TOL:
+                self.counterexample = witness
+
+    def result(self) -> CheckResult:
+        return CheckResult(self.name, self.description, self.instances,
+                           self.open, self.worst, self.counterexample)
+
+
+def _shared(inp: VerifyInputs, name: str, run) -> CheckResult:
+    """The result of check ``name``, which ``run`` computes together with the
+    other checks of its pass; each pass runs once per input bundle."""
+    if name not in inp.shared:
+        inp.shared.update((r.name, r) for r in run(inp))
+    return inp.shared[name]
+
+
 def check_delay_diagonal_zero(inp: VerifyInputs) -> CheckResult:
     desc = "minimum delay of every agent to itself is zero"
     n = 0
-    for name, topo in inp.graph_cases:
-        d = min_delay_matrix(topo)
+    for name, topo, d in inp.graph_cases:
         n += 1
         for a in topo.agents():
             if d.delay(a, a) != 0:
@@ -317,8 +362,7 @@ def check_delay_diagonal_zero(inp: VerifyInputs) -> CheckResult:
 def check_delay_triangle(inp: VerifyInputs) -> CheckResult:
     desc = "minimum delays satisfy the triangle inequality"
     n = 0
-    for name, topo in inp.graph_cases:
-        d = min_delay_matrix(topo)
+    for name, topo, d in inp.graph_cases:
         n += 1
         for i, j, k in itertools.product(topo.agents(), repeat=3):
             if d.delay(i, k) > d.delay(i, j) + d.delay(j, k):
@@ -330,8 +374,7 @@ def check_delay_triangle(inp: VerifyInputs) -> CheckResult:
 def check_delay_vs_path_enumeration(inp: VerifyInputs) -> CheckResult:
     desc = "delay matrix equals exhaustive simple-path enumeration"
     n = 0
-    for name, topo in inp.graph_cases:
-        d = min_delay_matrix(topo)
+    for name, topo, d in inp.graph_cases:
         oracle = min_delay_by_paths(topo)
         n += 1
         for (a, b), v in oracle.items():
@@ -346,8 +389,7 @@ def check_delay_vs_path_enumeration(inp: VerifyInputs) -> CheckResult:
 def check_information_path_delay(inp: VerifyInputs) -> CheckResult:
     desc = "relay path delay equals the delay-matrix entry for every pair"
     n = 0
-    for name, topo in inp.graph_cases:
-        d = min_delay_matrix(topo)
+    for name, topo, d in inp.graph_cases:
         n += 1
         for a in topo.agents():
             for b in topo.agents():
@@ -364,8 +406,7 @@ def check_information_path_delay(inp: VerifyInputs) -> CheckResult:
 def check_delay_finite(inp: VerifyInputs) -> CheckResult:
     desc = "strong connectivity yields finite integer delays everywhere"
     n = 0
-    for name, topo in inp.graph_cases:
-        d = min_delay_matrix(topo)
+    for name, _topo, d in inp.graph_cases:
         n += 1
         for row in d.rows:
             for x in row:
@@ -378,9 +419,7 @@ def check_delay_finite(inp: VerifyInputs) -> CheckResult:
 def check_trajectory_probability_product(inp: VerifyInputs) -> CheckResult:
     desc = "trajectory probability equals the product of its primitive probabilities"
     n, worst = 0, 0.0
-    from .scenario import joint_distribution
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         g = random_total_policy(sub_rng(inp.seed, 10, idx), s, d, inp.assign_cap)
         n += 1
         for traj, p in joint_distribution(s, d, g, inp.assign_cap).items():
@@ -398,10 +437,8 @@ def check_trajectory_probability_product(inp: VerifyInputs) -> CheckResult:
 
 def check_simulate_matches_enumeration(inp: VerifyInputs) -> CheckResult:
     desc = "sampled trajectories appear in the exact trajectory distribution"
-    from .scenario import joint_distribution
     n = 0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, topo, d, s) in enumerate(inp.scenario_cases):
         g = random_total_policy(sub_rng(inp.seed, 11, idx), s, d, inp.assign_cap)
         dist = joint_distribution(s, d, g, inp.assign_cap)
         for seed in range(5):
@@ -415,10 +452,8 @@ def check_simulate_matches_enumeration(inp: VerifyInputs) -> CheckResult:
 
 def check_stage_costs_match(inp: VerifyInputs) -> CheckResult:
     desc = "recorded stage costs equal the cost table on (t, state, actions)"
-    from .scenario import joint_distribution
     n = 0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         g = random_total_policy(sub_rng(inp.seed, 12, idx), s, d, inp.assign_cap)
         n += 1
         for traj in joint_distribution(s, d, g, inp.assign_cap):
@@ -430,17 +465,12 @@ def check_stage_costs_match(inp: VerifyInputs) -> CheckResult:
     return _ok("trajectory_stage_costs_match_cost_table", desc, n)
 
 
-def _info_case_tuples(inp):
-    for name, topo, T in inp.info_cases:
-        yield name, min_delay_matrix(topo), topo.agent_count, T
-
-
 def check_accessible_monotone(inp: VerifyInputs) -> CheckResult:
     desc = "shared information only grows with time"
     n = 0
-    for name, d, K, T in _info_case_tuples(inp):
+    for name, topo, d, T in inp.info_cases:
         n += 1
-        for k in range(1, K + 1):
+        for k in topo.agents():
             for t in range(1, T + 1):
                 if not accessible_labels(d, k, t - 1).issubset(
                         accessible_labels(d, k, t)):
@@ -452,8 +482,9 @@ def check_accessible_monotone(inp: VerifyInputs) -> CheckResult:
 def check_accessible_nesting(inp: VerifyInputs) -> CheckResult:
     desc = "later agents' shared information nests inside earlier agents'"
     n = 0
-    for name, d, K, T in _info_case_tuples(inp):
+    for name, topo, d, T in inp.info_cases:
         n += 1
+        K = topo.agent_count
         for k in range(1, K + 1):
             for j in range(k, K + 1):
                 for t in range(T + 1):
@@ -468,8 +499,9 @@ def check_accessible_nesting(inp: VerifyInputs) -> CheckResult:
 def check_memory_partition(inp: VerifyInputs) -> CheckResult:
     desc = "private plus shared information partitions each memory"
     n = 0
-    for name, d, K, T in _info_case_tuples(inp):
+    for name, topo, d, T in inp.info_cases:
         n += 1
+        K = topo.agent_count
         for k in range(1, K + 1):
             for j in range(k, K + 1):
                 for t in range(T + 1):
@@ -486,8 +518,9 @@ def check_memory_partition(inp: VerifyInputs) -> CheckResult:
 def check_own_private_within_common_private(inp: VerifyInputs) -> CheckResult:
     desc = "own private domain is contained in the last agent's view of it"
     n = 0
-    for name, d, K, T in _info_case_tuples(inp):
+    for name, topo, d, T in inp.info_cases:
         n += 1
+        K = topo.agent_count
         for k in range(1, K + 1):
             for t in range(T + 1):
                 if not inaccessible_labels(d, k, k, t).issubset(
@@ -500,9 +533,9 @@ def check_own_private_within_common_private(inp: VerifyInputs) -> CheckResult:
 def check_memory_monotone(inp: VerifyInputs) -> CheckResult:
     desc = "memories only grow with time (perfect recall)"
     n = 0
-    for name, d, K, T in _info_case_tuples(inp):
+    for name, topo, d, T in inp.info_cases:
         n += 1
-        for k in range(1, K + 1):
+        for k in topo.agents():
             for t in range(1, T + 1):
                 if not memory_labels(d, k, t - 1).issubset(
                         memory_labels(d, k, t)):
@@ -514,8 +547,7 @@ def check_memory_monotone(inp: VerifyInputs) -> CheckResult:
 def check_memory_vs_replay(inp: VerifyInputs) -> CheckResult:
     desc = "memory formula agrees with a time-stepped transmission flood"
     n = 0
-    for name, topo, T in inp.info_cases:
-        d = min_delay_matrix(topo)
+    for name, topo, d, T in inp.info_cases:
         n += 1
         for k in topo.agents():
             for t in range(T + 1):
@@ -537,8 +569,7 @@ def _induced_action_tables(s, d, g, cap):
 def check_prescription_consistency(inp: VerifyInputs) -> CheckResult:
     desc = "re-seated strategies generate identical action profiles everywhere"
     n = 0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for k in s.agents():
             psi = random_strategy(sub_rng(inp.seed, 13, idx, k), s, d, k,
                                   inp.assign_cap)
@@ -561,8 +592,7 @@ def check_prescription_consistency(inp: VerifyInputs) -> CheckResult:
 def check_round_trip(inp: VerifyInputs) -> CheckResult:
     desc = "splitting a policy into prescriptions and back reproduces it"
     n = 0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for rep in range(3):
             g = random_total_policy(sub_rng(inp.seed, 14, idx, rep), s, d,
                                     inp.assign_cap)
@@ -580,8 +610,7 @@ def check_round_trip(inp: VerifyInputs) -> CheckResult:
 def check_prescription_domains(inp: VerifyInputs) -> CheckResult:
     desc = "every generated prescription has exactly the declared domain"
     n = 0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for k in s.agents():
             psi = random_strategy(sub_rng(inp.seed, 15, idx, k), s, d, k,
                                   inp.assign_cap)
@@ -600,8 +629,7 @@ def check_prescription_domains(inp: VerifyInputs) -> CheckResult:
 def check_transfer_composition(inp: VerifyInputs) -> CheckResult:
     desc = "re-seating via an intermediate agent equals re-seating directly"
     n = 0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         k = s.agent_count  # owner
         psi = random_strategy(sub_rng(inp.seed, 16, idx), s, d, k,
                               inp.assign_cap)
@@ -623,137 +651,103 @@ def check_transfer_composition(inp: VerifyInputs) -> CheckResult:
     return _ok("positional_transfer_composition", desc, n)
 
 
-def _chained_beliefs(s, d, roots):
-    """Walk a history tree computing filtered beliefs along every edge."""
-    out = []  # (node, chained belief)
+def _filter_walk(s: Scenario, d: DelayMatrix, k: int, assign_cap: int,
+                 policy_cap: int):
+    """Pre-order walk over agent k's history tree.
 
-    def walk(node, pi):
-        out.append((node, pi))
-        for ti, edges in enumerate(node.children):
-            theta = node.theta_options[ti]
-            for z, _w, child in edges:
-                walk(child, belief_update(s, d, pi, theta, z))
+    Yields (node, chained belief, direct-conditioning belief, chained
+    beliefs of the children per prescription option). A root's chained
+    belief is its direct conditioning on the empty prescription history.
+    """
+    roots, _nodes = history_tree(s, d, k, assign_cap, policy_cap)
+
+    def walk(node, pi, scratch):
+        kids = [[belief_update(s, d, pi, theta, z) for z, _w, _child in edges]
+                for theta, edges in zip(node.theta_options, node.children)]
+        yield node, pi, scratch, kids
+        for edges, beliefs in zip(node.children, kids):
+            for (_z, _w, child), nxt in zip(edges, beliefs):
+                yield from walk(child, nxt, belief_from_scratch(
+                    s, d, k, child.accessible, child.thetas, assign_cap))
 
     for root in roots:
-        walk(root, belief_from_scratch(s, d, root.agent, root.accessible, ()))
-    return out
+        pi = belief_from_scratch(s, d, k, root.accessible, (), assign_cap)
+        yield from walk(root, pi, pi)
 
 
-def check_filter_chain_vs_scratch(inp: VerifyInputs) -> CheckResult:
-    desc = "chained filter updates equal direct conditioning at every history"
-    n, worst = 0, 0.0
-    for name, topo, s in inp.scenario_cases:
-        d = min_delay_matrix(topo)
+def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
+    """The four filter checks, fed by one walk per (case, agent)."""
+    chain = _Tally("filter_chain_matches_direct_conditioning",
+                   "chained filter updates equal direct conditioning at every "
+                   "history")
+    independent = _Tally("filter_output_strategy_independent",
+                         "filter output depends only on (belief, prescription, "
+                         "new info)")
+    markov = _Tally("belief_evolution_markov",
+                    "histories with equal (belief, prescription) induce equal "
+                    "successor laws")
+    normalized = _Tally("belief_normalization",
+                        "every computed belief sums to one")
+    for name, _topo, d, s in inp.scenario_cases:
         for k in s.agents():
-            roots, _nodes = history_tree(s, d, k, inp.assign_cap,
-                                         inp.policy_cap)
-            for node, pi in _chained_beliefs(s, d, roots):
-                n += 1
-                scratch = belief_from_scratch(s, d, k, node.accessible,
-                                              node.thetas, inp.assign_cap)
-                worst = max(worst, belief_linf(pi, scratch))
-                if worst > BELIEF_TOL:
-                    return _fail("filter_chain_matches_direct_conditioning",
-                                 desc, n, worst,
-                                 {"case": name, "agent": k, "t": node.time})
-    return _ok("filter_chain_matches_direct_conditioning", desc, n, worst)
-
-
-def check_filter_policy_independence(inp: VerifyInputs) -> CheckResult:
-    desc = "filter output depends only on (belief, prescription, new info)"
-    n, worst = 0, 0.0
-    for name, topo, s in inp.scenario_cases:
-        d = min_delay_matrix(topo)
-        for k in s.agents():
-            roots, _nodes = history_tree(s, d, k, inp.assign_cap,
-                                         inp.policy_cap)
             seen: dict[tuple, BeliefState] = {}
+            # the independence and Markov checks intern into their own lists
             reps: list[BeliefState] = []
-            for node, pi in _chained_beliefs(s, d, roots):
-                rid = _belief_reps_intern(reps, pi)
-                for ti, edges in enumerate(node.children):
-                    theta = node.theta_options[ti]
-                    tkey = theta_fingerprint(theta)
-                    for z, _w, _child in edges:
-                        n += 1
-                        nxt = belief_update(s, d, pi, theta, z)
-                        key = (node.time, rid, tkey, z.items)
-                        if key in seen:
-                            worst = max(worst, belief_linf(seen[key], nxt))
-                            if worst > BELIEF_TOL:
-                                return _fail("filter_output_strategy_independent",
-                                             desc, n, worst,
-                                             {"case": name, "agent": k,
-                                              "t": node.time})
-                        else:
-                            seen[key] = nxt
-    return _ok("filter_output_strategy_independent", desc, n, worst)
-
-
-def check_markov_property(inp: VerifyInputs) -> CheckResult:
-    desc = "histories with equal (belief, prescription) induce equal successor laws"
-    n, worst = 0, 0.0
-    for name, topo, s in inp.scenario_cases:
-        d = min_delay_matrix(topo)
-        for k in s.agents():
-            roots, _nodes = history_tree(s, d, k, inp.assign_cap,
-                                         inp.policy_cap)
-            reps: list[BeliefState] = []
+            markov_reps: list[BeliefState] = []
             groups: dict[tuple, list] = {}
-            for node, pi in _chained_beliefs(s, d, roots):
-                if node.time >= s.horizon:
-                    continue
+            for node, pi, scratch, kids in _filter_walk(
+                    s, d, k, inp.assign_cap, inp.policy_cap):
+                at = {"case": name, "agent": k, "t": node.time}
+                chain.see(belief_linf(pi, scratch), at)
+                normalized.see(max(abs(pi.total() - 1.0),
+                                   abs(scratch.total() - 1.0)), at)
                 rid = _belief_reps_intern(reps, pi)
-                for ti, edges in enumerate(node.children):
-                    theta = node.theta_options[ti]
+                if node.time < s.horizon:
+                    markov_rid = _belief_reps_intern(markov_reps, pi)
+                for theta, edges, beliefs in zip(node.theta_options,
+                                                 node.children, kids):
+                    tkey = theta_fingerprint(theta)
                     # successor law from the history itself: conditional
                     # probability of each outcome times the successor class
                     law = {}
-                    for z, w, _child in edges:
-                        nid = _belief_reps_intern(
-                            reps, belief_update(s, d, pi, theta, z))
+                    for (z, w, _child), nxt in zip(edges, beliefs):
+                        first = seen.setdefault(
+                            (node.time, rid, tkey, z.items), nxt)
+                        independent.see(0.0 if first is nxt
+                                        else belief_linf(first, nxt), at)
+                        nid = _belief_reps_intern(markov_reps, nxt)
                         law[nid] = law.get(nid, 0.0) + w / node.weight
-                    groups.setdefault(
-                        (node.time, rid, theta_fingerprint(theta)), []
-                    ).append(law)
-            for key, laws in groups.items():
-                n += 1
-                base = laws[0]
-                for law in laws[1:]:
-                    for rid in set(base) | set(law):
-                        worst = max(worst, abs(base.get(rid, 0.0) -
-                                               law.get(rid, 0.0)))
-                if worst > BELIEF_TOL:
-                    return _fail("belief_evolution_markov", desc, n, worst,
-                                 {"case": name, "agent": k, "t": key[0]})
-    return _ok("belief_evolution_markov", desc, n, worst)
+                    groups.setdefault((node.time, markov_rid, tkey), []
+                                      ).append(law)
+            for (t, _rid, _tkey), (base, *laws) in groups.items():
+                markov.see(max((abs(base.get(r, 0.0) - law.get(r, 0.0))
+                                for law in laws for r in set(base) | set(law)),
+                               default=0.0),
+                           {"case": name, "agent": k, "t": t})
+    return [chain.result(), independent.result(), markov.result(),
+            normalized.result()]
+
+
+def check_filter_chain_vs_scratch(inp: VerifyInputs) -> CheckResult:
+    return _shared(inp, "filter_chain_matches_direct_conditioning", _filter_pass)
+
+
+def check_filter_policy_independence(inp: VerifyInputs) -> CheckResult:
+    return _shared(inp, "filter_output_strategy_independent", _filter_pass)
+
+
+def check_markov_property(inp: VerifyInputs) -> CheckResult:
+    return _shared(inp, "belief_evolution_markov", _filter_pass)
 
 
 def check_belief_normalization(inp: VerifyInputs) -> CheckResult:
-    desc = "every computed belief sums to one"
-    n, worst = 0, 0.0
-    for name, topo, s in inp.scenario_cases:
-        d = min_delay_matrix(topo)
-        for k in s.agents():
-            roots, _nodes = history_tree(s, d, k, inp.assign_cap,
-                                         inp.policy_cap)
-            for node, pi in _chained_beliefs(s, d, roots):
-                n += 1
-                worst = max(worst, abs(pi.total() - 1.0))
-                scratch = belief_from_scratch(s, d, k, node.accessible,
-                                              node.thetas, inp.assign_cap)
-                worst = max(worst, abs(scratch.total() - 1.0))
-                if worst > BELIEF_TOL:
-                    return _fail("belief_normalization", desc, n, worst,
-                                 {"case": name, "agent": k, "t": node.time})
-    return _ok("belief_normalization", desc, n, worst)
+    return _shared(inp, "belief_normalization", _filter_pass)
 
 
 def check_sufficient_state_determinism(inp: VerifyInputs) -> CheckResult:
     desc = "sufficient state, noises and prescription determine the next step"
     n = 0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for k in s.agents():
             for rep in range(2):
                 psi = random_strategy(sub_rng(inp.seed, 17, idx, k, rep), s, d,
@@ -804,8 +798,7 @@ def check_sufficient_state_determinism(inp: VerifyInputs) -> CheckResult:
 def check_cost_equivalence(inp: VerifyInputs) -> CheckResult:
     desc = "policy route and prescription route give the same expected cost"
     n, worst = 0, 0.0
-    for idx, (name, topo, s) in enumerate(inp.scenario_cases):
-        d = min_delay_matrix(topo)
+    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for rep in range(5):
             g = random_total_policy(sub_rng(inp.seed, 18, idx, rep), s, d,
                                     inp.assign_cap)
@@ -821,63 +814,58 @@ def check_cost_equivalence(inp: VerifyInputs) -> CheckResult:
     return _ok("strategy_policy_cost_equivalence", desc, n, worst)
 
 
-def check_dp_vs_brute(inp: VerifyInputs) -> CheckResult:
-    desc = "belief-space backward induction attains the exhaustive optimum"
-    n, worst = 0, 0.0
-    for name, topo, s in inp.solver_cases:
-        d = min_delay_matrix(topo)
-        try:
-            br = brute_force_optimal(s, d, inp.policy_cap, inp.assign_cap)
-            dp = common_info_dp(s, d, inp.policy_cap, inp.assign_cap)
-        except EnumerationCapExceeded:
-            continue
-        n += 1
-        worst = max(worst, abs(br.value - dp.value))
-        if worst > BELIEF_TOL:
-            return _fail("dp_matches_brute_force", desc, n, worst,
+def _capped(solve, *args):
+    """``solve(*args)``, or None when the solve exceeds an enumeration cap."""
+    try:
+        return solve(*args)
+    except EnumerationCapExceeded:
+        return None
+
+
+def _solver_pass(inp: VerifyInputs) -> list[CheckResult]:
+    """The three solver checks, fed by one brute-force and one common-info
+    solve per case; a capped solve skips the checks that need it."""
+    dp_brute = _Tally("dp_matches_brute_force",
+                      "belief-space backward induction attains the exhaustive "
+                      "optimum")
+    greedy = _Tally("dp_greedy_strategy_reproduces_value",
+                    "evaluating the greedy strategy reproduces the backward "
+                    "value")
+    structural = _Tally("structural_form_matches_brute_force",
+                        "structural-form search attains the exhaustive optimum "
+                        "for every agent")
+    caps = (inp.policy_cap, inp.assign_cap)
+    for name, _topo, d, s in inp.scenario_cases:
+        br = _capped(brute_force_optimal, s, d, *caps)
+        dp = _capped(common_info_dp, s, d, *caps)
+        if br is not None and dp is not None:
+            dp_brute.see(abs(br.value - dp.value),
                          {"case": name, "brute": br.value, "dp": dp.value})
-    return _ok("dp_matches_brute_force", desc, n, worst)
+        if dp is not None and greedy.open:
+            got = evaluate_strategy(s, d, dp.argmin, inp.assign_cap)
+            greedy.see(abs(got - dp.value),
+                       {"case": name, "value": dp.value, "evaluated": got})
+        if br is None or not structural.open:
+            continue
+        for k in s.agents():
+            st = _capped(structural_search, s, d, k, *caps)
+            if st is not None:
+                structural.see(abs(st.value - br.value),
+                               {"case": name, "agent": k,
+                                "brute": br.value, "structural": st.value})
+    return [dp_brute.result(), greedy.result(), structural.result()]
+
+
+def check_dp_vs_brute(inp: VerifyInputs) -> CheckResult:
+    return _shared(inp, "dp_matches_brute_force", _solver_pass)
 
 
 def check_dp_greedy_consistency(inp: VerifyInputs) -> CheckResult:
-    desc = "evaluating the greedy strategy reproduces the backward value"
-    n, worst = 0, 0.0
-    for name, topo, s in inp.solver_cases:
-        d = min_delay_matrix(topo)
-        try:
-            dp = common_info_dp(s, d, inp.policy_cap, inp.assign_cap)
-        except EnumerationCapExceeded:
-            continue
-        n += 1
-        got = evaluate_strategy(s, d, dp.argmin, inp.assign_cap)
-        worst = max(worst, abs(got - dp.value))
-        if worst > BELIEF_TOL:
-            return _fail("dp_greedy_strategy_reproduces_value", desc, n, worst,
-                         {"case": name, "value": dp.value, "evaluated": got})
-    return _ok("dp_greedy_strategy_reproduces_value", desc, n, worst)
+    return _shared(inp, "dp_greedy_strategy_reproduces_value", _solver_pass)
 
 
 def check_structural_vs_brute(inp: VerifyInputs) -> CheckResult:
-    desc = "structural-form search attains the exhaustive optimum for every agent"
-    n, worst = 0, 0.0
-    for name, topo, s in inp.solver_cases:
-        d = min_delay_matrix(topo)
-        try:
-            br = brute_force_optimal(s, d, inp.policy_cap, inp.assign_cap)
-        except EnumerationCapExceeded:
-            continue
-        for k in s.agents():
-            try:
-                st = structural_search(s, d, k, inp.policy_cap, inp.assign_cap)
-            except EnumerationCapExceeded:
-                continue
-            n += 1
-            worst = max(worst, abs(st.value - br.value))
-            if worst > BELIEF_TOL:
-                return _fail("structural_form_matches_brute_force", desc, n,
-                             worst, {"case": name, "agent": k,
-                                     "brute": br.value, "structural": st.value})
-    return _ok("structural_form_matches_brute_force", desc, n, worst)
+    return _shared(inp, "structural_form_matches_brute_force", _solver_pass)
 
 
 def check_monotone_information(inp: VerifyInputs) -> CheckResult:
@@ -909,8 +897,7 @@ def check_monotone_information(inp: VerifyInputs) -> CheckResult:
 def check_domain_subset_report(inp: VerifyInputs) -> CheckResult:
     desc = "domain report certifies the private-domain subset relation"
     n = 0
-    for name, topo, s in inp.scenario_cases:
-        d = min_delay_matrix(topo)
+    for name, _topo, d, s in inp.scenario_cases:
         n += 1
         report = domain_comparison(s, d)
         for row in report.rows:

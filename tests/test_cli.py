@@ -200,6 +200,19 @@ def test_belief_command_rejects_wrong_domain(tmp_path):
     r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
                "--history", str(history))
     assert r.returncode == 2
+    assert "VarLabel(" not in r.stderr
+
+
+@pytest.mark.parametrize("agent", ["0", "7"])
+@pytest.mark.parametrize("command", [
+    ("solve", "--method", "structural"),
+    ("compare",),
+    ("export-strategy", "--method", "structural"),
+])
+def test_agent_outside_the_scenario_is_an_input_error(command, agent):
+    r = womctl(*command, "--scenario", INSTANCE_A, "--agent", agent)
+    assert r.returncode == 2
+    assert r.stderr == "error: --agent must lie in 1..2\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -138,6 +138,8 @@ def test_act_requires_the_exact_domain():
     with pytest.raises(DomainMismatch) as e:
         act(gamma, Realization(()))
     assert obs_label(1, 0) in e.value.missing
+    assert "missing=[y1@0]" in str(e.value)
+    assert "VarLabel(" not in str(e.value)
     with pytest.raises(DomainMismatch):
         act(gamma, Realization(((obs_label(1, 0), "a"), (obs_label(2, 0), "a"))))
 

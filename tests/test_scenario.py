@@ -1,6 +1,8 @@
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from womctl.errors import (
     BadDistribution,
@@ -8,7 +10,9 @@ from womctl.errors import (
     MissingTableEntry,
     ParseError,
     UndefinedPolicyEntry,
+    WomctlError,
 )
+from womctl.fixtures import fixture_path
 from womctl.infostruct import memory_labels
 from womctl.randgen import random_total_policy, sub_rng
 from womctl.scenario import (
@@ -96,6 +100,61 @@ def test_unknown_keys_are_rejected():
 def test_duplicate_rows_are_rejected():
     with pytest.raises(ParseError):
         loads_scenario(MINIMAL + "\n[cost]\nc t=* s go 1.0\n")
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("count 1", "count"), ("T 0", "T"), ("action 1 go", "action"),
+    ("obs 1 o", "obs"), ("vnoise 1 v", "vnoise"),
+    ("h 1 t=* s v o", "h 2 t=* s v o")])
+def test_short_rows_and_unknown_agents_are_parse_errors_at_their_line(row, bad):
+    text = MINIMAL.replace(row + "\n", bad + "\n")
+    with pytest.raises(ParseError) as e:
+        loads_scenario(text)
+    assert e.value.line == text.splitlines().index(bad) + 1
+
+
+INSTANCE_A_ROWS = [line.split() for line in Path(
+    fixture_path("instance_a.wom")).read_text(encoding="utf-8").splitlines()]
+
+# (operation, row, token, length): each edit deletes, duplicates or truncates
+# one row or one token of instance_a, so numbers stay as small as the file's
+EDITS = st.lists(st.tuples(
+    st.sampled_from(("drop-row", "dup-row", "cut-row",
+                     "drop-token", "dup-token", "cut-token")),
+    st.integers(0, 100), st.integers(0, 10), st.integers(0, 6)), max_size=6)
+
+
+def _edited_instance_a(edits) -> str:
+    rows = [list(row) for row in INSTANCE_A_ROWS]
+    for op, i, j, n in edits:
+        if not rows:
+            break
+        i %= len(rows)
+        row = rows[i]
+        if op == "drop-row":
+            del rows[i]
+        elif op == "dup-row":
+            rows.insert(i, list(row))
+        elif op == "cut-row":
+            del row[n:]
+        elif row:
+            j %= len(row)
+            if op == "drop-token":
+                del row[j]
+            elif op == "dup-token":
+                row.insert(j, row[j])
+            else:
+                row[j] = row[j][:n]
+    return "\n".join(" ".join(row) for row in rows)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(EDITS)
+def test_edited_instance_a_loads_or_raises_a_package_error(edits):
+    try:
+        loads_scenario(_edited_instance_a(edits))
+    except WomctlError:
+        pass
 
 
 def _constant_policy(s, d, action_of):
