@@ -7,8 +7,7 @@ batches reproduce bit-for-bit from a single seed.
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .infostruct import (
     DEFAULT_ENUM_CAP,
@@ -25,11 +24,14 @@ from .prescription import (
 from .scenario import Distribution, FiniteSpace, Policy, Scenario
 from .topology import DelayMatrix, Topology
 
-Rng = np.random.Generator
+if TYPE_CHECKING:
+    from numpy.random import Generator as Rng
 
 
 def sub_rng(seed: int, *key: int) -> Rng:
     """A generator derived deterministically from a seed and an index path."""
+    import numpy as np
+
     return np.random.default_rng([seed, *key])
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadDistribution,
@@ -25,6 +24,9 @@ from .errors import (
 )
 from .infostruct import DEFAULT_ENUM_CAP, Realization, act, memory_labels, obs
 from .topology import DelayMatrix, Topology, min_delay_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DIST_TOL = 1e-12
 
@@ -70,6 +72,8 @@ class Distribution:
         return [(v, self.probs[v]) for v in self.space.values if self.probs.get(v, 0.0) > 0.0]
 
     def sample(self, rng: np.random.Generator) -> str:
+        import numpy as np
+
         values, weights = zip(*[(v, self.probs.get(v, 0.0)) for v in self.space.values])
         return values[int(rng.choice(len(values), p=np.asarray(weights)))]
 
@@ -329,6 +333,8 @@ def simulate(s: Scenario, t: Topology, g: Policy, seed: int) -> Trajectory:
     Each primitive variable draws from its own generator stream, spawned in a
     fixed order (initial state, then w by time, then each agent's v by time).
     """
+    import numpy as np
+
     d = min_delay_matrix(t)
     T = s.horizon
     n_streams = 1 + (T + 1) + s.agent_count * (T + 1)

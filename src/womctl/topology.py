@@ -144,18 +144,21 @@ def min_delay_matrix(t: Topology) -> DelayMatrix:
     return DelayMatrix(n, tuple(tuple(int(x) for x in row) for row in d))
 
 
-def information_path(t: Topology, k: int, j: int) -> InfoPath:
+def information_path(t: Topology, k: int, j: int,
+                     d: DelayMatrix | None = None) -> InfoPath:
     """The relay path from k to j used for transmissions.
 
     Among all simple paths achieving the minimum total delay, ties are broken
     by the lexicographically smallest sequence of cumulative arrival times at
     the successive relays (information reaches each intermediate agent as
     early as possible), and remaining ties by the smallest node sequence.
+    A caller that holds ``min_delay_matrix(t)`` passes it as ``d``, which
+    skips validating ``t`` and recomputing the matrix.
     """
-    validate_topology(t)
+    if d is None:
+        d = min_delay_matrix(t)
     if k == j:
         raise SameAgent(k)
-    d = min_delay_matrix(t)
     best = d.delay(k, j)
     out: dict[int, list[Link]] = {a: sorted(t.out_links(a)) for a in t.agents()}
 

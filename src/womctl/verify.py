@@ -347,6 +347,15 @@ def _shared(inp: VerifyInputs, name: str, run) -> CheckResult:
     return inp.shared[name]
 
 
+def _fed_by(run):
+    """Tag a check whose result the shared pass ``run`` computes, so that
+    ``run_verify --jobs`` sends all checks of one pass to one worker."""
+    def tag(check):
+        check.shared_pass = run
+        return check
+    return tag
+
+
 def check_delay_diagonal_zero(inp: VerifyInputs) -> CheckResult:
     desc = "minimum delay of every agent to itself is zero"
     n = 0
@@ -391,12 +400,14 @@ def check_information_path_delay(inp: VerifyInputs) -> CheckResult:
     n = 0
     for name, topo, d in inp.graph_cases:
         n += 1
+        link_delay = {(l.src, l.dst): l.delay for l in topo.links}
         for a in topo.agents():
             for b in topo.agents():
                 if a == b:
                     continue
-                path = information_path(topo, a, b)
-                if path.total_delay != d.delay(a, b):
+                path = information_path(topo, a, b, d)
+                hops = zip(path.nodes, path.nodes[1:])
+                if sum(link_delay[hop] for hop in hops) != d.delay(a, b):
                     return _fail("information_path_delay_matches_matrix", desc,
                                  n, 1.0, {"case": name, "pair": [a, b],
                                           "path": list(path.nodes)})
@@ -728,18 +739,22 @@ def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
             normalized.result()]
 
 
+@_fed_by(_filter_pass)
 def check_filter_chain_vs_scratch(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "filter_chain_matches_direct_conditioning", _filter_pass)
 
 
+@_fed_by(_filter_pass)
 def check_filter_policy_independence(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "filter_output_strategy_independent", _filter_pass)
 
 
+@_fed_by(_filter_pass)
 def check_markov_property(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "belief_evolution_markov", _filter_pass)
 
 
+@_fed_by(_filter_pass)
 def check_belief_normalization(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "belief_normalization", _filter_pass)
 
@@ -856,14 +871,17 @@ def _solver_pass(inp: VerifyInputs) -> list[CheckResult]:
     return [dp_brute.result(), greedy.result(), structural.result()]
 
 
+@_fed_by(_solver_pass)
 def check_dp_vs_brute(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "dp_matches_brute_force", _solver_pass)
 
 
+@_fed_by(_solver_pass)
 def check_dp_greedy_consistency(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "dp_greedy_strategy_reproduces_value", _solver_pass)
 
 
+@_fed_by(_solver_pass)
 def check_structural_vs_brute(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "structural_form_matches_brute_force", _solver_pass)
 
@@ -941,9 +959,19 @@ CHECKS = [
 ]
 
 
-def _run_one(args):
-    fn, inputs = args
-    return fn(inputs)
+def _task_groups(checks) -> list[list[int]]:
+    """Positions in ``checks`` per worker task. The checks fed by one shared
+    pass form one task, so the pass runs once; every other check is a task
+    of its own."""
+    groups: dict[object, list[int]] = {}
+    for i, fn in enumerate(checks):
+        groups.setdefault(getattr(fn, "shared_pass", fn), []).append(i)
+    return list(groups.values())
+
+
+def _run_task(args):
+    fns, inputs = args
+    return [fn(inputs) for fn in fns]
 
 
 def run_verify(scenario_path: str | None, random_n: int, seed: int,
@@ -951,13 +979,17 @@ def run_verify(scenario_path: str | None, random_n: int, seed: int,
                assign_cap: int = DEFAULT_ENUM_CAP, jobs: int = 1) -> dict:
     """Run every registered check; the report is a JSON-ready dict."""
     inputs = build_inputs(scenario_path, random_n, seed, policy_cap, assign_cap)
-    tasks = [(fn, inputs) for fn in CHECKS]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        groups = _task_groups(CHECKS)
+        tasks = [([CHECKS[i] for i in group], inputs) for group in groups]
+        results: list = [None] * len(CHECKS)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
+            for group, done in zip(groups, pool.map(_run_task, tasks)):
+                for i, r in zip(group, done):
+                    results[i] = r
     else:
-        results = [fn(inputs) for fn, _ in tasks]
+        results = [fn(inputs) for fn in CHECKS]
     return {
         "seed": seed,
         "random_instances": random_n,

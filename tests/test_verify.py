@@ -7,6 +7,7 @@ with their usual instance counts.
 """
 
 import dataclasses
+import pickle
 from collections import Counter
 
 import womctl.verify as verify
@@ -95,3 +96,39 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
     assert calls == {"history_tree": 5, "brute_force_optimal": 9,
                      "common_info_dp": 3}
 
+
+
+def test_pool_tasks_group_the_checks_of_each_shared_pass():
+    groups = verify._task_groups(verify.CHECKS)
+    assert sorted(i for g in groups for i in g) == list(range(29))
+    names = [[verify.CHECKS[i].__name__ for i in g] for g in groups]
+    shared = [g for g in names if len(g) > 1]
+    assert shared == [
+        ["check_filter_chain_vs_scratch", "check_filter_policy_independence",
+         "check_markov_property", "check_belief_normalization"],
+        ["check_dp_vs_brute", "check_dp_greedy_consistency",
+         "check_structural_vs_brute"],
+    ]
+    assert len(groups) == 29 - 4 - 3 + 2 == 24
+
+
+def test_each_pool_task_runs_its_shared_pass_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("history_tree", "brute_force_optimal", "common_info_dp"):
+        monkeypatch.setattr(verify, name, counted(name))
+    inp = verify.build_inputs(None, 1, 0)
+    for group in verify._task_groups(verify.CHECKS):
+        # a worker gets its own unpickled copy of the inputs, shared cache empty
+        copy = pickle.loads(pickle.dumps(inp))
+        verify._run_task(([verify.CHECKS[i] for i in group], copy))
+    assert calls == {"history_tree": 5, "brute_force_optimal": 9,
+                     "common_info_dp": 3}
