@@ -60,9 +60,6 @@ class SufficientState:
     x: str
     info: Realization
 
-    def component(self, d: DelayMatrix, j: int) -> Realization:
-        return self.info.restrict(prescription_domain(d, self.owner, j, self.time))
-
     def key(self) -> tuple:
         return (self.x, self.info.items)
 
@@ -240,21 +237,23 @@ def belief_update(s: Scenario, d: DelayMatrix, pi: BeliefState,
         f"prescription at t={pi.time}")
 
 
-def belief_from_scratch(s: Scenario, d: DelayMatrix, k: int, a: Realization,
+def conditional_beliefs(s: Scenario, d: DelayMatrix, k: int,
                         thetas: tuple[CompletePrescription, ...],
-                        cap: int = DEFAULT_ENUM_CAP) -> BeliefState:
-    """Exact conditional of the sufficient state given shared information.
+                        cap: int = DEFAULT_ENUM_CAP
+                        ) -> list[tuple[Realization, float, BeliefState]]:
+    """Exact conditionals of the sufficient state at t = len(thetas), one per
+    realization of agent k's shared information.
 
     Enumerates every primitive assignment, replays the prescription sequence
-    to obtain all actions, keeps the assignments whose accessible realization
-    matches ``a``, and normalizes over the induced sufficient states.
+    to obtain all actions, groups the assignments by their accessible
+    realization ``a`` and normalizes each group over its induced sufficient
+    states. Returns (a, prob of a, belief) triples with positive
+    probability, in canonical ``a`` order.
     """
     t = len(thetas)
     want = accessible_labels(d, k, t)
-    if a.domain != want:
-        raise DomainMismatch.between(want, a.domain)
-    acc: dict[SufficientState, float] = {}
     info_t = sufficient_info_labels(d, k, t)
+    acc: dict[Realization, dict[SufficientState, float]] = {}
     for prim in enumerate_primitives(s, cap):
         values: dict = {}
         x = prim.x0
@@ -273,17 +272,34 @@ def belief_from_scratch(s: Scenario, d: DelayMatrix, k: int, a: Realization,
             for j in s.agents():
                 values[act_label(j, tau)] = u[j - 1]
             x = s.f(tau, x, u, prim.w[tau])
-        a_here = Realization(tuple((lbl, values[lbl]) for lbl in want))
-        if a_here != a:
-            continue
+        a = Realization(tuple((lbl, values[lbl]) for lbl in want))
         st = SufficientState(
             owner=k, time=t, x=x,
             info=Realization(tuple((lbl, values[lbl]) for lbl in info_t)))
-        acc[st] = acc.get(st, 0.0) + prim.prob
-    total = sum(acc.values())
-    if total <= 0.0:
-        raise ZeroProbabilityCondition(
-            f"accessible realization {a} with the given prescriptions has "
-            f"probability 0")
-    return BeliefState(owner=k, time=t,
-                       probs={st: p / total for st, p in acc.items()})
+        table = acc.setdefault(a, {})
+        table[st] = table.get(st, 0.0) + prim.prob
+    out = []
+    for a in sorted(acc, key=lambda r: r.items):
+        table = acc[a]
+        pa = sum(table.values())
+        if pa > 0.0:
+            out.append((a, pa, BeliefState(
+                owner=k, time=t, probs={st: p / pa for st, p in table.items()})))
+    return out
+
+
+def belief_from_scratch(s: Scenario, d: DelayMatrix, k: int, a: Realization,
+                        thetas: tuple[CompletePrescription, ...],
+                        cap: int = DEFAULT_ENUM_CAP) -> BeliefState:
+    """Exact conditional of the sufficient state given shared information:
+    the class of ``conditional_beliefs`` whose accessible realization is
+    ``a``."""
+    want = accessible_labels(d, k, len(thetas))
+    if a.domain != want:
+        raise DomainMismatch.between(want, a.domain)
+    for a2, _pa, pi in conditional_beliefs(s, d, k, thetas, cap):
+        if a2 == a:
+            return pi
+    raise ZeroProbabilityCondition(
+        f"accessible realization {a} with the given prescriptions has "
+        f"probability 0")

@@ -102,12 +102,6 @@ class Realization:
     def domain(self) -> InfoSet:
         return InfoSet(tuple(l for l, _ in self.items))
 
-    def get(self, label: VarLabel) -> str:
-        for l, v in self.items:
-            if l == label:
-                return v
-        raise KeyError(label)
-
     def restrict(self, labels: InfoSet) -> "Realization":
         have = dict(self.items)
         try:
@@ -127,9 +121,6 @@ class Realization:
         if not self.items:
             return "-"
         return ",".join(f"{l}={v}" for l, v in self.items)
-
-
-EMPTY_REALIZATION = Realization(())
 
 
 @lru_cache(maxsize=None)

@@ -44,9 +44,6 @@ class FiniteSpace:
         if len(set(self.values)) != len(self.values):
             raise WomctlError(f"space '{self.name}' has duplicate values")
 
-    def index(self, value: str) -> int:
-        return self.values.index(value)
-
 
 @dataclass(frozen=True)
 class Distribution:

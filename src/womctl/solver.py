@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from .belief import (
     BELIEF_TOL,
     BeliefState,
-    SufficientState,
     belief_linf,
     belief_successors,
+    conditional_beliefs,
     expected_cost,
     sufficient_info_labels,
 )
@@ -318,32 +318,6 @@ def _belief_reps_intern(reps: list[BeliefState], b: BeliefState) -> int:
     return len(reps) - 1
 
 
-def _initial_beliefs(s: Scenario, d: DelayMatrix, k: int, assign_cap: int):
-    """Beliefs at t=0 per realization of the agent's initial shared info."""
-    a_labels = accessible_labels(d, k, 0)
-    info0 = sufficient_info_labels(d, k, 0)
-    acc: dict[Realization, dict[SufficientState, float]] = {}
-    for prim in enumerate_primitives(s, assign_cap):
-        values = {}
-        for j in s.agents():
-            values[VarLabel(j, 0, Kind.OBS)] = s.h(j, 0, prim.x0, prim.v[j - 1][0])
-        a = Realization(tuple((l, values[l]) for l in a_labels))
-        st = SufficientState(
-            owner=k, time=0, x=prim.x0,
-            info=Realization(tuple((l, values[l]) for l in info0)))
-        bucket = acc.setdefault(a, {})
-        bucket[st] = bucket.get(st, 0.0) + prim.prob
-    roots = []
-    for a in sorted(acc, key=lambda r: r.items):
-        table = acc[a]
-        pa = sum(table.values())
-        if pa <= 0.0:
-            continue
-        roots.append((a, pa, BeliefState(
-            owner=k, time=0, probs={st: q / pa for st, q in table.items()})))
-    return roots
-
-
 def common_info_dp(s: Scenario, d: DelayMatrix,
                    policy_cap: int = DEFAULT_POLICY_CAP,
                    assign_cap: int = DEFAULT_ENUM_CAP) -> SolveResult:
@@ -357,7 +331,7 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     """
     start = time.perf_counter()
     K, T = s.agent_count, s.horizon
-    roots = _initial_beliefs(s, d, K, assign_cap)
+    roots = conditional_beliefs(s, d, K, (), assign_cap)
     levels: list[list[BeliefState]] = [[]]
     root_nodes = [(a, pa, _belief_reps_intern(levels[0], b)) for a, pa, b in roots]
     candidates = 0

@@ -144,6 +144,35 @@ def min_delay_matrix(t: Topology) -> DelayMatrix:
     return DelayMatrix(n, tuple(tuple(int(x) for x in row) for row in d))
 
 
+def information_paths(t: Topology, k: int, d: DelayMatrix) -> dict[int, InfoPath]:
+    """The relay path from k to every other agent, in one walk from k.
+
+    ``d`` is ``min_delay_matrix(t)``. Delays are positive, so every prefix of
+    a minimum-delay path is itself a minimum-delay path: the walk extends a
+    prefix only while each node on it is reached at its matrix delay, and so
+    meets every minimum-delay simple path from k and no other path (it
+    revisits no node). Each target keeps the path with the least (arrival
+    times, nodes) key; see ``information_path`` for the tie-break.
+    """
+    out: dict[int, list[Link]] = {a: sorted(t.out_links(a)) for a in t.agents()}
+    best: dict[int, tuple] = {}
+
+    def walk(node: int, path: tuple[int, ...], arrivals: tuple[int, ...]) -> None:
+        so_far = arrivals[-1] if arrivals else 0
+        for l in out[node]:
+            at = so_far + l.delay
+            if at != d.delay(k, l.dst):
+                continue
+            key = (arrivals + (at,), path + (l.dst,))
+            if l.dst not in best or key < best[l.dst]:
+                best[l.dst] = key
+            walk(l.dst, key[1], key[0])
+
+    walk(k, (k,), ())
+    return {j: InfoPath(nodes=nodes, total_delay=d.delay(k, j))
+            for j, (_arrivals, nodes) in best.items()}
+
+
 def information_path(t: Topology, k: int, j: int,
                      d: DelayMatrix | None = None) -> InfoPath:
     """The relay path from k to j used for transmissions.
@@ -159,27 +188,4 @@ def information_path(t: Topology, k: int, j: int,
         d = min_delay_matrix(t)
     if k == j:
         raise SameAgent(k)
-    best = d.delay(k, j)
-    out: dict[int, list[Link]] = {a: sorted(t.out_links(a)) for a in t.agents()}
-
-    best_key: tuple | None = None
-    best_path: tuple[int, ...] | None = None
-
-    def walk(node: int, path: tuple[int, ...], arrivals: tuple[int, ...]) -> None:
-        nonlocal best_key, best_path
-        if node == j:
-            key = (arrivals, path)
-            if best_key is None or key < best_key:
-                best_key, best_path = key, path
-            return
-        so_far = arrivals[-1] if arrivals else 0
-        for l in out[node]:
-            if l.dst in path:
-                continue  # positive delays: revisits can never win
-            if so_far + l.delay + d.delay(l.dst, j) > best:
-                continue
-            walk(l.dst, path + (l.dst,), arrivals + (so_far + l.delay,))
-
-    walk(k, (k,), ())
-    assert best_path is not None  # strong connectivity
-    return InfoPath(nodes=best_path, total_delay=best)
+    return information_paths(t, k, d)[j]

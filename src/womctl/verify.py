@@ -9,6 +9,7 @@ functions of a seeded input bundle, so reports reproduce byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -16,9 +17,9 @@ from .belief import (
     BELIEF_TOL,
     BeliefState,
     SufficientState,
-    belief_from_scratch,
     belief_linf,
     belief_update,
+    conditional_beliefs,
     stage_cost_hat,
     state_step,
     sufficient_info_labels,
@@ -70,7 +71,7 @@ from .solver import (
     evaluate_strategy,
     structural_search,
 )
-from .topology import DelayMatrix, Topology, information_path, min_delay_matrix
+from .topology import DelayMatrix, Topology, information_paths, min_delay_matrix
 
 EQ_TOL = 1e-12
 
@@ -303,22 +304,15 @@ def build_inputs(scenario_path: str | None, random_n: int, seed: int,
                         policy_cap=policy_cap, assign_cap=assign_cap)
 
 
-def _ok(name, desc, instances, worst=0.0):
-    return CheckResult(name, desc, instances, True, worst)
-
-
-def _fail(name, desc, instances, worst, witness):
-    return CheckResult(name, desc, instances, False, worst, witness)
-
-
 @dataclass
 class _Tally:
-    """Running instance count and worst deviation of one check that is fed
-    by a shared pass; the first instance that takes the worst past
-    ``BELIEF_TOL`` ends the check and is its counterexample."""
+    """Running instance count and worst deviation of one check; the first
+    instance that takes the worst past ``tol`` ends the check and is its
+    counterexample. A boolean deviation (the instance failed) counts as 1.0."""
 
     name: str
     description: str
+    tol: float = BELIEF_TOL
     instances: int = 0
     worst: float = 0.0
     counterexample: dict | None = None
@@ -327,16 +321,46 @@ class _Tally:
     def open(self) -> bool:
         return self.counterexample is None
 
-    def see(self, deviation: float, witness: dict) -> None:
+    def see(self, deviation: float | bool, witness: dict | None) -> None:
         if self.open:
             self.instances += 1
+            if isinstance(deviation, bool):
+                deviation = float(deviation)
             self.worst = max(self.worst, deviation)
-            if self.worst > BELIEF_TOL:
+            if self.worst > self.tol:
                 self.counterexample = witness
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, self.description, self.instances,
                            self.open, self.worst, self.counterexample)
+
+
+def _check(name: str, description: str, tol: float = BELIEF_TOL):
+    """Turn a generator that yields one (deviation, witness) per instance into
+    a ``VerifyInputs -> CheckResult`` check; the generator is not resumed
+    after the first failing instance."""
+    def wrap(instances):
+        @functools.wraps(instances)
+        def check(inp: VerifyInputs) -> CheckResult:
+            tally = _Tally(name, description, tol)
+            for deviation, witness in instances(inp):
+                tally.see(deviation, witness)
+                if not tally.open:
+                    break
+            return tally.result()
+        return check
+    return wrap
+
+
+def _first_over(parts, tol: float = BELIEF_TOL):
+    """The (deviation, witness) of an instance made of several parts: the
+    first part whose deviation passes ``tol``, else the largest deviation."""
+    worst = 0.0
+    for deviation, witness in parts:
+        if deviation > tol:
+            return deviation, witness
+        worst = max(worst, deviation)
+    return worst, None
 
 
 def _shared(inp: VerifyInputs, name: str, run) -> CheckResult:
@@ -356,310 +380,251 @@ def _fed_by(run):
     return tag
 
 
-def check_delay_diagonal_zero(inp: VerifyInputs) -> CheckResult:
-    desc = "minimum delay of every agent to itself is zero"
-    n = 0
+@_check("delay_diagonal_zero",
+        "minimum delay of every agent to itself is zero")
+def check_delay_diagonal_zero(inp: VerifyInputs):
     for name, topo, d in inp.graph_cases:
-        n += 1
-        for a in topo.agents():
-            if d.delay(a, a) != 0:
-                return _fail("delay_diagonal_zero", desc, n, 1.0,
-                             {"case": name, "agent": a})
-    return _ok("delay_diagonal_zero", desc, n)
+        yield _first_over((d.delay(a, a) != 0, {"case": name, "agent": a})
+                          for a in topo.agents())
 
 
-def check_delay_triangle(inp: VerifyInputs) -> CheckResult:
-    desc = "minimum delays satisfy the triangle inequality"
-    n = 0
+@_check("delay_triangle_inequality",
+        "minimum delays satisfy the triangle inequality")
+def check_delay_triangle(inp: VerifyInputs):
     for name, topo, d in inp.graph_cases:
-        n += 1
-        for i, j, k in itertools.product(topo.agents(), repeat=3):
-            if d.delay(i, k) > d.delay(i, j) + d.delay(j, k):
-                return _fail("delay_triangle_inequality", desc, n, 1.0,
-                             {"case": name, "triple": [i, j, k]})
-    return _ok("delay_triangle_inequality", desc, n)
+        yield _first_over(
+            (d.delay(i, k) > d.delay(i, j) + d.delay(j, k),
+             {"case": name, "triple": [i, j, k]})
+            for i, j, k in itertools.product(topo.agents(), repeat=3))
 
 
-def check_delay_vs_path_enumeration(inp: VerifyInputs) -> CheckResult:
-    desc = "delay matrix equals exhaustive simple-path enumeration"
-    n = 0
+@_check("delay_matrix_matches_path_enumeration",
+        "delay matrix equals exhaustive simple-path enumeration")
+def check_delay_vs_path_enumeration(inp: VerifyInputs):
     for name, topo, d in inp.graph_cases:
-        oracle = min_delay_by_paths(topo)
-        n += 1
-        for (a, b), v in oracle.items():
-            if d.delay(a, b) != v:
-                return _fail("delay_matrix_matches_path_enumeration", desc, n,
-                             abs(d.delay(a, b) - v),
-                             {"case": name, "pair": [a, b],
-                              "matrix": d.delay(a, b), "oracle": v})
-    return _ok("delay_matrix_matches_path_enumeration", desc, n)
+        yield _first_over(
+            (abs(d.delay(a, b) - v), {"case": name, "pair": [a, b],
+                                      "matrix": d.delay(a, b), "oracle": v})
+            for (a, b), v in min_delay_by_paths(topo).items())
 
 
-def check_information_path_delay(inp: VerifyInputs) -> CheckResult:
-    desc = "relay path delay equals the delay-matrix entry for every pair"
-    n = 0
+def _relay_path_mismatches(name: str, topo: Topology, d: DelayMatrix):
+    """Per ordered pair: whether the link delays along the relay path miss
+    the delay-matrix entry (or no relay path was found)."""
+    link_delay = {(l.src, l.dst): l.delay for l in topo.links}
+    for a in topo.agents():
+        paths = information_paths(topo, a, d)
+        for b in topo.agents():
+            if b == a:
+                continue
+            nodes = paths[b].nodes if b in paths else None
+            yield (nodes is None or d.delay(a, b) != sum(
+                link_delay[hop] for hop in zip(nodes, nodes[1:])),
+                {"case": name, "pair": [a, b],
+                 "path": None if nodes is None else list(nodes)})
+
+
+@_check("information_path_delay_matches_matrix",
+        "relay path delay equals the delay-matrix entry for every pair")
+def check_information_path_delay(inp: VerifyInputs):
     for name, topo, d in inp.graph_cases:
-        n += 1
-        link_delay = {(l.src, l.dst): l.delay for l in topo.links}
-        for a in topo.agents():
-            for b in topo.agents():
-                if a == b:
-                    continue
-                path = information_path(topo, a, b, d)
-                hops = zip(path.nodes, path.nodes[1:])
-                if sum(link_delay[hop] for hop in hops) != d.delay(a, b):
-                    return _fail("information_path_delay_matches_matrix", desc,
-                                 n, 1.0, {"case": name, "pair": [a, b],
-                                          "path": list(path.nodes)})
-    return _ok("information_path_delay_matches_matrix", desc, n)
+        yield _first_over(_relay_path_mismatches(name, topo, d))
 
 
-def check_delay_finite(inp: VerifyInputs) -> CheckResult:
-    desc = "strong connectivity yields finite integer delays everywhere"
-    n = 0
+@_check("delay_matrix_finite",
+        "strong connectivity yields finite integer delays everywhere")
+def check_delay_finite(inp: VerifyInputs):
     for name, _topo, d in inp.graph_cases:
-        n += 1
-        for row in d.rows:
-            for x in row:
-                if not isinstance(x, int) or x < 0:
-                    return _fail("delay_matrix_finite", desc, n, 1.0,
-                                 {"case": name, "entry": repr(x)})
-    return _ok("delay_matrix_finite", desc, n)
+        yield _first_over((not isinstance(x, int) or x < 0,
+                           {"case": name, "entry": repr(x)})
+                          for row in d.rows for x in row)
 
 
-def check_trajectory_probability_product(inp: VerifyInputs) -> CheckResult:
-    desc = "trajectory probability equals the product of its primitive probabilities"
-    n, worst = 0, 0.0
+def _primitive_product(s: Scenario, traj) -> float:
+    q = s.init_dist.prob(traj.states[0])
+    for t in s.times():
+        q *= s.w_dists[t].prob(traj.w[t])
+        for k in s.agents():
+            q *= s.v_dists[(k, t)].prob(traj.v[k - 1][t])
+    return q
+
+
+@_check("trajectory_probability_is_primitive_product",
+        "trajectory probability equals the product of its primitive "
+        "probabilities", tol=EQ_TOL)
+def check_trajectory_probability_product(inp: VerifyInputs):
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         g = random_total_policy(sub_rng(inp.seed, 10, idx), s, d, inp.assign_cap)
-        n += 1
-        for traj, p in joint_distribution(s, d, g, inp.assign_cap).items():
-            q = s.init_dist.prob(traj.states[0])
-            for t in s.times():
-                q *= s.w_dists[t].prob(traj.w[t])
-                for k in s.agents():
-                    q *= s.v_dists[(k, t)].prob(traj.v[k - 1][t])
-            worst = max(worst, abs(p - q))
-            if worst > EQ_TOL:
-                return _fail("trajectory_probability_is_primitive_product",
-                             desc, n, worst, {"case": name})
-    return _ok("trajectory_probability_is_primitive_product", desc, n, worst)
+        yield _first_over(
+            ((abs(p - _primitive_product(s, traj)), {"case": name})
+             for traj, p in joint_distribution(s, d, g, inp.assign_cap).items()),
+            EQ_TOL)
 
 
-def check_simulate_matches_enumeration(inp: VerifyInputs) -> CheckResult:
-    desc = "sampled trajectories appear in the exact trajectory distribution"
-    n = 0
+@_check("simulate_matches_enumerated_trajectory",
+        "sampled trajectories appear in the exact trajectory distribution")
+def check_simulate_matches_enumeration(inp: VerifyInputs):
     for idx, (name, topo, d, s) in enumerate(inp.scenario_cases):
         g = random_total_policy(sub_rng(inp.seed, 11, idx), s, d, inp.assign_cap)
         dist = joint_distribution(s, d, g, inp.assign_cap)
         for seed in range(5):
-            n += 1
             traj = simulate(s, topo, g, seed)
-            if traj not in dist or dist[traj] <= 0.0:
-                return _fail("simulate_matches_enumerated_trajectory", desc, n,
-                             1.0, {"case": name, "seed": seed})
-    return _ok("simulate_matches_enumerated_trajectory", desc, n)
+            yield (traj not in dist or dist[traj] <= 0.0,
+                   {"case": name, "seed": seed})
 
 
-def check_stage_costs_match(inp: VerifyInputs) -> CheckResult:
-    desc = "recorded stage costs equal the cost table on (t, state, actions)"
-    n = 0
+@_check("trajectory_stage_costs_match_cost_table",
+        "recorded stage costs equal the cost table on (t, state, actions)")
+def check_stage_costs_match(inp: VerifyInputs):
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         g = random_total_policy(sub_rng(inp.seed, 12, idx), s, d, inp.assign_cap)
-        n += 1
-        for traj in joint_distribution(s, d, g, inp.assign_cap):
-            for t in s.times():
-                u = tuple(traj.actions[k - 1][t] for k in s.agents())
-                if traj.stage_costs[t] != s.c(t, traj.states[t], u):
-                    return _fail("trajectory_stage_costs_match_cost_table",
-                                 desc, n, 1.0, {"case": name, "t": t})
-    return _ok("trajectory_stage_costs_match_cost_table", desc, n)
+        yield _first_over(
+            (traj.stage_costs[t] != s.c(t, traj.states[t], tuple(
+                traj.actions[k - 1][t] for k in s.agents())),
+             {"case": name, "t": t})
+            for traj in joint_distribution(s, d, g, inp.assign_cap)
+            for t in s.times())
 
 
-def check_accessible_monotone(inp: VerifyInputs) -> CheckResult:
-    desc = "shared information only grows with time"
-    n = 0
+@_check("accessible_info_monotone_in_time",
+        "shared information only grows with time")
+def check_accessible_monotone(inp: VerifyInputs):
     for name, topo, d, T in inp.info_cases:
-        n += 1
-        for k in topo.agents():
-            for t in range(1, T + 1):
-                if not accessible_labels(d, k, t - 1).issubset(
-                        accessible_labels(d, k, t)):
-                    return _fail("accessible_info_monotone_in_time", desc, n,
-                                 1.0, {"case": name, "agent": k, "t": t})
-    return _ok("accessible_info_monotone_in_time", desc, n)
+        yield _first_over(
+            (not accessible_labels(d, k, t - 1).issubset(
+                accessible_labels(d, k, t)), {"case": name, "agent": k, "t": t})
+            for k in topo.agents() for t in range(1, T + 1))
 
 
-def check_accessible_nesting(inp: VerifyInputs) -> CheckResult:
-    desc = "later agents' shared information nests inside earlier agents'"
-    n = 0
+@_check("accessible_info_nested_across_agents",
+        "later agents' shared information nests inside earlier agents'")
+def check_accessible_nesting(inp: VerifyInputs):
     for name, topo, d, T in inp.info_cases:
-        n += 1
         K = topo.agent_count
-        for k in range(1, K + 1):
-            for j in range(k, K + 1):
-                for t in range(T + 1):
-                    if not accessible_labels(d, j, t).issubset(
-                            accessible_labels(d, k, t)):
-                        return _fail("accessible_info_nested_across_agents",
-                                     desc, n, 1.0,
-                                     {"case": name, "pair": [k, j], "t": t})
-    return _ok("accessible_info_nested_across_agents", desc, n)
+        yield _first_over(
+            (not accessible_labels(d, j, t).issubset(
+                accessible_labels(d, k, t)), {"case": name, "pair": [k, j],
+                                              "t": t})
+            for k in range(1, K + 1) for j in range(k, K + 1)
+            for t in range(T + 1))
 
 
-def check_memory_partition(inp: VerifyInputs) -> CheckResult:
-    desc = "private plus shared information partitions each memory"
-    n = 0
+def _partition_breaks(d: DelayMatrix, k: int, j: int, t: int) -> bool:
+    mem = memory_labels(d, k, t)
+    acc = accessible_labels(d, j, t)
+    lkj = inaccessible_labels(d, k, j, t)
+    return lkj.union(acc) != mem or len(lkj.intersect(acc)) != 0
+
+
+@_check("memory_partition_by_accessible_and_inaccessible",
+        "private plus shared information partitions each memory")
+def check_memory_partition(inp: VerifyInputs):
     for name, topo, d, T in inp.info_cases:
-        n += 1
         K = topo.agent_count
-        for k in range(1, K + 1):
-            for j in range(k, K + 1):
-                for t in range(T + 1):
-                    mem = memory_labels(d, k, t)
-                    acc = accessible_labels(d, j, t)
-                    lkj = inaccessible_labels(d, k, j, t)
-                    if lkj.union(acc) != mem or len(lkj.intersect(acc)) != 0:
-                        return _fail(
-                            "memory_partition_by_accessible_and_inaccessible",
-                            desc, n, 1.0, {"case": name, "pair": [k, j], "t": t})
-    return _ok("memory_partition_by_accessible_and_inaccessible", desc, n)
+        yield _first_over(
+            (_partition_breaks(d, k, j, t), {"case": name, "pair": [k, j],
+                                             "t": t})
+            for k in range(1, K + 1) for j in range(k, K + 1)
+            for t in range(T + 1))
 
 
-def check_own_private_within_common_private(inp: VerifyInputs) -> CheckResult:
-    desc = "own private domain is contained in the last agent's view of it"
-    n = 0
+@_check("own_inaccessible_within_common_inaccessible",
+        "own private domain is contained in the last agent's view of it")
+def check_own_private_within_common_private(inp: VerifyInputs):
     for name, topo, d, T in inp.info_cases:
-        n += 1
         K = topo.agent_count
-        for k in range(1, K + 1):
-            for t in range(T + 1):
-                if not inaccessible_labels(d, k, k, t).issubset(
-                        inaccessible_labels(d, k, K, t)):
-                    return _fail("own_inaccessible_within_common_inaccessible",
-                                 desc, n, 1.0, {"case": name, "agent": k, "t": t})
-    return _ok("own_inaccessible_within_common_inaccessible", desc, n)
+        yield _first_over(
+            (not inaccessible_labels(d, k, k, t).issubset(
+                inaccessible_labels(d, k, K, t)),
+             {"case": name, "agent": k, "t": t})
+            for k in range(1, K + 1) for t in range(T + 1))
 
 
-def check_memory_monotone(inp: VerifyInputs) -> CheckResult:
-    desc = "memories only grow with time (perfect recall)"
-    n = 0
+@_check("memory_monotone_in_time",
+        "memories only grow with time (perfect recall)")
+def check_memory_monotone(inp: VerifyInputs):
     for name, topo, d, T in inp.info_cases:
-        n += 1
-        for k in topo.agents():
-            for t in range(1, T + 1):
-                if not memory_labels(d, k, t - 1).issubset(
-                        memory_labels(d, k, t)):
-                    return _fail("memory_monotone_in_time", desc, n, 1.0,
-                                 {"case": name, "agent": k, "t": t})
-    return _ok("memory_monotone_in_time", desc, n)
+        yield _first_over(
+            (not memory_labels(d, k, t - 1).issubset(memory_labels(d, k, t)),
+             {"case": name, "agent": k, "t": t})
+            for k in topo.agents() for t in range(1, T + 1))
 
 
-def check_memory_vs_replay(inp: VerifyInputs) -> CheckResult:
-    desc = "memory formula agrees with a time-stepped transmission flood"
-    n = 0
+@_check("memory_matches_transmission_replay",
+        "memory formula agrees with a time-stepped transmission flood")
+def check_memory_vs_replay(inp: VerifyInputs):
     for name, topo, d, T in inp.info_cases:
-        n += 1
-        for k in topo.agents():
-            for t in range(T + 1):
-                if memory_labels(d, k, t) != replay_memory(topo, k, t):
-                    return _fail("memory_matches_transmission_replay", desc, n,
-                                 1.0, {"case": name, "agent": k, "t": t})
-    return _ok("memory_matches_transmission_replay", desc, n)
+        yield _first_over(
+            (memory_labels(d, k, t) != replay_memory(topo, k, t),
+             {"case": name, "agent": k, "t": t})
+            for k in topo.agents() for t in range(T + 1))
 
 
-def _induced_action_tables(s, d, g, cap):
-    """Action profiles per primitive assignment under a policy."""
-    out = []
-    for prim in enumerate_primitives(s, cap):
-        traj = propagate(s, d, prim, g.action)
-        out.append(traj.actions)
-    return out
+def _induced_actions(s, d, psi, cap):
+    """Action profiles per primitive assignment under a strategy."""
+    g = strategy_to_policy(s, d, psi, cap)
+    return [propagate(s, d, prim, g.action).actions
+            for prim in enumerate_primitives(s, cap)]
 
 
-def check_prescription_consistency(inp: VerifyInputs) -> CheckResult:
-    desc = "re-seated strategies generate identical action profiles everywhere"
-    n = 0
+@_check("prescription_action_consistency_across_owners",
+        "re-seated strategies generate identical action profiles everywhere")
+def check_prescription_consistency(inp: VerifyInputs):
+    cap = inp.assign_cap
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for k in s.agents():
-            psi = random_strategy(sub_rng(inp.seed, 13, idx, k), s, d, k,
-                                  inp.assign_cap)
-            base = _induced_action_tables(
-                s, d, strategy_to_policy(s, d, psi, inp.assign_cap),
-                inp.assign_cap)
+            psi = random_strategy(sub_rng(inp.seed, 13, idx, k), s, d, k, cap)
+            base = _induced_actions(s, d, psi, cap)
             for j in s.agents():
-                n += 1
-                moved = positional_transfer(psi, j, s, d, inp.assign_cap)
-                got = _induced_action_tables(
-                    s, d, strategy_to_policy(s, d, moved, inp.assign_cap),
-                    inp.assign_cap)
-                if got != base:
-                    return _fail(
-                        "prescription_action_consistency_across_owners", desc,
-                        n, 1.0, {"case": name, "owner": k, "target": j})
-    return _ok("prescription_action_consistency_across_owners", desc, n)
+                moved = positional_transfer(psi, j, s, d, cap)
+                yield (_induced_actions(s, d, moved, cap) != base,
+                       {"case": name, "owner": k, "target": j})
 
 
-def check_round_trip(inp: VerifyInputs) -> CheckResult:
-    desc = "splitting a policy into prescriptions and back reproduces it"
-    n = 0
+@_check("policy_strategy_round_trip_identity",
+        "splitting a policy into prescriptions and back reproduces it")
+def check_round_trip(inp: VerifyInputs):
+    cap = inp.assign_cap
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for rep in range(3):
-            g = random_total_policy(sub_rng(inp.seed, 14, idx, rep), s, d,
-                                    inp.assign_cap)
+            g = random_total_policy(sub_rng(inp.seed, 14, idx, rep), s, d, cap)
             for k in s.agents():
-                n += 1
                 g2 = strategy_to_policy(
-                    s, d, policy_to_strategy(s, d, g, k, inp.assign_cap),
-                    inp.assign_cap)
-                if g2.tables != g.tables:
-                    return _fail("policy_strategy_round_trip_identity", desc, n,
-                                 1.0, {"case": name, "owner": k, "rep": rep})
-    return _ok("policy_strategy_round_trip_identity", desc, n)
+                    s, d, policy_to_strategy(s, d, g, k, cap), cap)
+                yield g2.tables != g.tables, {"case": name, "owner": k,
+                                              "rep": rep}
 
 
-def check_prescription_domains(inp: VerifyInputs) -> CheckResult:
-    desc = "every generated prescription has exactly the declared domain"
-    n = 0
+@_check("prescription_domains_match_partition_rule",
+        "every generated prescription has exactly the declared domain")
+def check_prescription_domains(inp: VerifyInputs):
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for k in s.agents():
             psi = random_strategy(sub_rng(inp.seed, 15, idx, k), s, d, k,
                                   inp.assign_cap)
-            n += 1
-            for (j, t), rows in psi.parts.items():
-                want = prescription_domain(d, k, j, t)
-                for gamma in rows.values():
-                    if gamma.domain != want:
-                        return _fail("prescription_domains_match_partition_rule",
-                                     desc, n, 1.0,
-                                     {"case": name, "owner": k, "target": j,
-                                      "t": t})
-    return _ok("prescription_domains_match_partition_rule", desc, n)
+            want = {key: prescription_domain(d, k, *key) for key in psi.parts}
+            yield _first_over(
+                (gamma.domain != want[j, t],
+                 {"case": name, "owner": k, "target": j, "t": t})
+                for (j, t), rows in psi.parts.items()
+                for gamma in rows.values())
 
 
-def check_transfer_composition(inp: VerifyInputs) -> CheckResult:
-    desc = "re-seating via an intermediate agent equals re-seating directly"
-    n = 0
+@_check("positional_transfer_composition",
+        "re-seating via an intermediate agent equals re-seating directly")
+def check_transfer_composition(inp: VerifyInputs):
+    cap = inp.assign_cap
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         k = s.agent_count  # owner
-        psi = random_strategy(sub_rng(inp.seed, 16, idx), s, d, k,
-                              inp.assign_cap)
+        psi = random_strategy(sub_rng(inp.seed, 16, idx), s, d, k, cap)
         for j in s.agents():
-            via = positional_transfer(psi, j, s, d, inp.assign_cap)
+            via = positional_transfer(psi, j, s, d, cap)
             for i in s.agents():
-                n += 1
-                through = positional_transfer(via, i, s, d, inp.assign_cap)
-                direct = positional_transfer(psi, i, s, d, inp.assign_cap)
-                a = _induced_action_tables(
-                    s, d, strategy_to_policy(s, d, through, inp.assign_cap),
-                    inp.assign_cap)
-                b = _induced_action_tables(
-                    s, d, strategy_to_policy(s, d, direct, inp.assign_cap),
-                    inp.assign_cap)
-                if a != b:
-                    return _fail("positional_transfer_composition", desc, n,
-                                 1.0, {"case": name, "via": j, "to": i})
-    return _ok("positional_transfer_composition", desc, n)
+                through = positional_transfer(via, i, s, d, cap)
+                direct = positional_transfer(psi, i, s, d, cap)
+                yield (_induced_actions(s, d, through, cap)
+                       != _induced_actions(s, d, direct, cap),
+                       {"case": name, "via": j, "to": i})
 
 
 def _filter_walk(s: Scenario, d: DelayMatrix, k: int, assign_cap: int,
@@ -669,20 +634,28 @@ def _filter_walk(s: Scenario, d: DelayMatrix, k: int, assign_cap: int,
     Yields (node, chained belief, direct-conditioning belief, chained
     beliefs of the children per prescription option). A root's chained
     belief is its direct conditioning on the empty prescription history.
+    Direct conditioning runs once per prescription history and serves every
+    class it splits into.
     """
     roots, _nodes = history_tree(s, d, k, assign_cap, policy_cap)
+
+    def scratch_of(thetas):
+        return {a: pi for a, _pa, pi in conditional_beliefs(
+            s, d, k, thetas, assign_cap)}
 
     def walk(node, pi, scratch):
         kids = [[belief_update(s, d, pi, theta, z) for z, _w, _child in edges]
                 for theta, edges in zip(node.theta_options, node.children)]
         yield node, pi, scratch, kids
-        for edges, beliefs in zip(node.children, kids):
+        for theta, edges, beliefs in zip(node.theta_options, node.children,
+                                         kids):
+            scratch_kids = scratch_of(node.thetas + (theta,))
             for (_z, _w, child), nxt in zip(edges, beliefs):
-                yield from walk(child, nxt, belief_from_scratch(
-                    s, d, k, child.accessible, child.thetas, assign_cap))
+                yield from walk(child, nxt, scratch_kids[child.accessible])
 
+    scratch_roots = scratch_of(())
     for root in roots:
-        pi = belief_from_scratch(s, d, k, root.accessible, (), assign_cap)
+        pi = scratch_roots[root.accessible]
         yield from walk(root, pi, pi)
 
 
@@ -759,9 +732,9 @@ def check_belief_normalization(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "belief_normalization", _filter_pass)
 
 
-def check_sufficient_state_determinism(inp: VerifyInputs) -> CheckResult:
-    desc = "sufficient state, noises and prescription determine the next step"
-    n = 0
+@_check("sufficient_state_step_deterministic",
+        "sufficient state, noises and prescription determine the next step")
+def check_sufficient_state_determinism(inp: VerifyInputs):
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for k in s.agents():
             for rep in range(2):
@@ -775,58 +748,45 @@ def check_sufficient_state_determinism(inp: VerifyInputs) -> CheckResult:
                         for j in s.agents():
                             values[obs_label(j, t)] = traj.observations[j - 1][t]
                             values[act_label(j, t)] = traj.actions[j - 1][t]
+
+                    def realize(labels):
+                        return Realization(tuple((l, values[l]) for l in labels))
+
                     for t in s.times():
-                        n += 1
-                        info = sufficient_info_labels(d, k, t)
+                        at = {"case": name, "agent": k, "t": t}
                         st = SufficientState(
                             owner=k, time=t, x=traj.states[t],
-                            info=Realization(tuple((l, values[l]) for l in info)))
-                        a_t = Realization(tuple(
-                            (l, values[l]) for l in accessible_labels(d, k, t)))
-                        theta = complete_prescription_at(s, d, psi, t, a_t)
-                        u = tuple(traj.actions[j - 1][t] for j in s.agents())
-                        if stage_cost_hat(s, st, theta, d) != traj.stage_costs[t]:
-                            return _fail("sufficient_state_step_deterministic",
-                                         desc, n, 1.0,
-                                         {"case": name, "agent": k, "t": t,
-                                          "what": "stage cost"})
-                        if t == s.horizon:
+                            info=realize(sufficient_info_labels(d, k, t)))
+                        theta = complete_prescription_at(
+                            s, d, psi, t, realize(accessible_labels(d, k, t)))
+                        cost_wrong = (stage_cost_hat(s, st, theta, d)
+                                      != traj.stage_costs[t])
+                        if cost_wrong or t == s.horizon:
+                            yield cost_wrong, {**at, "what": "stage cost"}
                             continue
                         vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
                         st2, z2 = state_step(s, d, st, prim.w[t], vn, theta)
-                        info2 = sufficient_info_labels(d, k, t + 1)
                         want_st2 = SufficientState(
                             owner=k, time=t + 1, x=traj.states[t + 1],
-                            info=Realization(tuple((l, values[l])
-                                                   for l in info2)))
-                        want_z = Realization(tuple(
-                            (l, values[l])
-                            for l in new_info_labels(d, k, t + 1)))
-                        if st2 != want_st2 or z2 != want_z:
-                            return _fail("sufficient_state_step_deterministic",
-                                         desc, n, 1.0,
-                                         {"case": name, "agent": k, "t": t,
-                                          "what": "state step"})
-    return _ok("sufficient_state_step_deterministic", desc, n)
+                            info=realize(sufficient_info_labels(d, k, t + 1)))
+                        want_z = realize(new_info_labels(d, k, t + 1))
+                        yield (st2 != want_st2 or z2 != want_z,
+                               {**at, "what": "state step"})
 
 
-def check_cost_equivalence(inp: VerifyInputs) -> CheckResult:
-    desc = "policy route and prescription route give the same expected cost"
-    n, worst = 0, 0.0
+@_check("strategy_policy_cost_equivalence",
+        "policy route and prescription route give the same expected cost",
+        tol=EQ_TOL)
+def check_cost_equivalence(inp: VerifyInputs):
+    cap = inp.assign_cap
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         for rep in range(5):
-            g = random_total_policy(sub_rng(inp.seed, 18, idx, rep), s, d,
-                                    inp.assign_cap)
-            base = evaluate_policy(s, d, g, inp.assign_cap)
+            g = random_total_policy(sub_rng(inp.seed, 18, idx, rep), s, d, cap)
+            base = evaluate_policy(s, d, g, cap)
             for k in s.agents():
-                n += 1
-                psi = policy_to_strategy(s, d, g, k, inp.assign_cap)
-                got = evaluate_strategy(s, d, psi, inp.assign_cap)
-                worst = max(worst, abs(got - base))
-                if worst > EQ_TOL:
-                    return _fail("strategy_policy_cost_equivalence", desc, n,
-                                 worst, {"case": name, "owner": k, "rep": rep})
-    return _ok("strategy_policy_cost_equivalence", desc, n, worst)
+                psi = policy_to_strategy(s, d, g, k, cap)
+                yield (abs(evaluate_strategy(s, d, psi, cap) - base),
+                       {"case": name, "owner": k, "rep": rep})
 
 
 def _capped(solve, *args):
@@ -886,9 +846,10 @@ def check_structural_vs_brute(inp: VerifyInputs) -> CheckResult:
     return _shared(inp, "structural_form_matches_brute_force", _solver_pass)
 
 
-def check_monotone_information(inp: VerifyInputs) -> CheckResult:
-    desc = "uniformly shorter delays never increase the optimal cost"
-    n, worst = 0, 0.0
+@_check("delay_reduction_never_increases_optimal_cost",
+        "uniformly shorter delays never increase the optimal cost", tol=EQ_TOL)
+def check_monotone_information(inp: VerifyInputs):
+    caps = (inp.policy_cap, inp.assign_cap)
     for i in range(3):
         rng = sub_rng(inp.seed, 19, i)
         K = 2
@@ -897,33 +858,22 @@ def check_monotone_information(inp: VerifyInputs) -> CheckResult:
         fast = Topology.of(K, [(1, 2, delay - 1), (2, 1, delay - 1)])
         s = random_scenario(rng, slow, horizon=1)
         try:
-            j_slow = brute_force_optimal(s, min_delay_matrix(slow),
-                                         inp.policy_cap, inp.assign_cap).value
-            j_fast = brute_force_optimal(s, min_delay_matrix(fast),
-                                         inp.policy_cap, inp.assign_cap).value
+            j_slow = brute_force_optimal(s, min_delay_matrix(slow), *caps).value
+            j_fast = brute_force_optimal(s, min_delay_matrix(fast), *caps).value
         except EnumerationCapExceeded:
             continue
-        n += 1
-        worst = max(worst, j_fast - j_slow)
-        if j_fast > j_slow + EQ_TOL:
-            return _fail("delay_reduction_never_increases_optimal_cost", desc,
-                         n, j_fast - j_slow,
-                         {"pair": i, "slow": j_slow, "fast": j_fast})
-    return _ok("delay_reduction_never_increases_optimal_cost", desc, n, worst)
+        yield j_fast - j_slow, {"pair": i, "slow": j_slow, "fast": j_fast}
 
 
-def check_domain_subset_report(inp: VerifyInputs) -> CheckResult:
-    desc = "domain report certifies the private-domain subset relation"
-    n = 0
+@_check("domain_report_subset_relation",
+        "domain report certifies the private-domain subset relation")
+def check_domain_subset_report(inp: VerifyInputs):
     for name, _topo, d, s in inp.scenario_cases:
-        n += 1
-        report = domain_comparison(s, d)
-        for row in report.rows:
-            if not row.subset or row.own_labels > row.common_labels or \
-                    row.own_realizations > row.common_realizations:
-                return _fail("domain_report_subset_relation", desc, n, 1.0,
-                             {"case": name, "agent": row.agent, "t": row.time})
-    return _ok("domain_report_subset_relation", desc, n)
+        yield _first_over(
+            (not row.subset or row.own_labels > row.common_labels
+             or row.own_realizations > row.common_realizations,
+             {"case": name, "agent": row.agent, "t": row.time})
+            for row in domain_comparison(s, d).rows)
 
 
 CHECKS = [

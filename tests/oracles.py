@@ -69,3 +69,27 @@ def replayed_memory(t: Topology, k: int, time: int) -> InfoSet:
             if tau > 0:
                 labels.append(act(j, tau - 1))
     return InfoSet.of(labels)
+
+
+def tie_broken_relay_paths(t: Topology) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Per ordered pair of distinct agents, the relay path by exhaustive
+    simple-path enumeration: least total delay, then least sequence of
+    cumulative arrival times, then least node sequence."""
+    adj: dict[int, list[tuple[int, int]]] = {a: [] for a in t.agents()}
+    for l in t.links:
+        adj[l.src].append((l.dst, l.delay))
+    best: dict[tuple[int, int], tuple] = {}
+    for src in t.agents():
+        stack = [((src,), ())]
+        while stack:
+            nodes, arrivals = stack.pop()
+            if len(nodes) > 1:
+                key = (arrivals[-1], arrivals, nodes)
+                pair = (src, nodes[-1])
+                if pair not in best or key < best[pair]:
+                    best[pair] = key
+            for nxt, w in adj[nodes[-1]]:
+                if nxt not in nodes:
+                    stack.append((nodes + (nxt,),
+                                  arrivals + ((arrivals[-1] if arrivals else 0) + w,)))
+    return {pair: key[2] for pair, key in best.items()}

@@ -7,6 +7,7 @@ from womctl.belief import (
     belief_linf,
     belief_successors,
     belief_update,
+    conditional_beliefs,
     expected_cost,
     stage_cost_hat,
     state_step,
@@ -267,3 +268,36 @@ def test_state_step_detects_model_perturbation(inst_a):
             if st2.x != traj.states[t + 1]:
                 mismatch = True
     assert mismatch
+
+
+def _alternating_theta(s, d, k, t):
+    """A complete prescription that alternates actions over each domain."""
+    parts = []
+    for j in s.agents():
+        dom = prescription_domain(d, k, j, t)
+        actions = s.action_space(j, t).values
+        parts.append(PrescriptionFunction(
+            owner=k, target=j, time=t, domain=dom,
+            table={l: actions[i % len(actions)] for i, l in enumerate(
+                enumerate_realizations(s, dom))}))
+    return CompletePrescription(owner=k, time=t, parts=tuple(parts))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_conditional_beliefs_split_the_mass_as_the_filter_does(inst_a, k):
+    _topo, s, d = inst_a
+    roots = conditional_beliefs(s, d, k, ())
+    assert abs(sum(pa for _a, pa, _pi in roots) - 1.0) < 1e-12
+    theta = _alternating_theta(s, d, k, 0)
+    want = {}
+    for a0, pa0, pi0 in roots:
+        assert belief_from_scratch(s, d, k, a0, ()) == pi0
+        for z, pz, b in belief_successors(s, d, pi0, theta):
+            want[a0.merge(z)] = (pa0 * pz, b)
+    got = conditional_beliefs(s, d, k, (theta,))
+    assert [a for a, _pa, _pi in got] == sorted(want, key=lambda r: r.items)
+    for a, pa, pi in got:
+        assert abs(pa - want[a][0]) < 1e-12
+        assert belief_linf(pi, want[a][1]) <= 1e-9
+        assert belief_from_scratch(s, d, k, a, (theta,)) == pi
+

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+definition in the package is referenced from the package or its tests."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import womctl
 
 PACKAGE = Path(womctl.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,3 +39,54 @@ def test_no_module_imports_a_name_it_never_uses():
         if found:
             unused[path.name] = found
     assert unused == {}
+
+
+def _definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants, and methods, as
+    "name" or "Class.method"; dunders are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef)]
+    return [d for d in out if not d.split(".")[-1].startswith("__")]
+
+
+def _references(source: str) -> set[str]:
+    """Names read, attributes read and names imported in ``source``."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def _unreferenced(modules: dict[str, str], readers: list[str]) -> list[str]:
+    used = set().union(*map(_references, readers))
+    return [f"{name}: {d}" for name, source in sorted(modules.items())
+            for d in _definitions(source) if d.split(".")[-1] not in used]
+
+
+def test_unreferenced_definition_detector_flags_a_dead_helper():
+    module = ("LIMIT = 3\n__version__ = '1'\n"
+              "class Box:\n    def size(self): return LIMIT\n"
+              "    def spare(self): pass\n    def __len__(self): return 0\n"
+              "def unused(): pass\n")
+    assert _unreferenced({"m.py": module}, [module, "Box().size()"]) == [
+        "m.py: Box.spare", "m.py: unused"]
+
+
+def test_every_definition_in_the_package_is_referenced():
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    assert _unreferenced(modules, list(modules.values()) + tests) == []

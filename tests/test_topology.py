@@ -12,11 +12,16 @@ from womctl.randgen import random_topology, sub_rng
 from womctl.topology import (
     Topology,
     information_path,
+    information_paths,
     min_delay_matrix,
     validate_topology,
 )
 
-from oracles import relaxation_delays, simple_path_min_delays
+from oracles import (
+    relaxation_delays,
+    simple_path_min_delays,
+    tie_broken_relay_paths,
+)
 
 
 def test_symmetric_two_cycle_is_valid():
@@ -103,6 +108,23 @@ def test_information_path_delay_equals_matrix_on_random_graphs():
             for b in topo.agents():
                 if a != b:
                     assert information_path(topo, a, b).total_delay == d.delay(a, b)
+
+
+@pytest.mark.parametrize("max_delay", [1, 3])
+def test_relay_paths_match_exhaustive_enumeration_with_tie_break(max_delay):
+    # unit delays make many minimum-delay paths tie
+    for i in range(150):
+        topo = random_topology(sub_rng(103, max_delay, i), max_agents=6,
+                               max_delay=max_delay)
+        d = min_delay_matrix(topo)
+        want = tie_broken_relay_paths(topo)
+        for a in topo.agents():
+            paths = information_paths(topo, a, d)
+            assert sorted(paths) == [b for b in topo.agents() if b != a]
+            for b, path in paths.items():
+                assert path.nodes == want[(a, b)]
+                assert path.total_delay == d.delay(a, b)
+                assert information_path(topo, a, b) == path
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

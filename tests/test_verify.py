@@ -10,6 +10,8 @@ import dataclasses
 import pickle
 from collections import Counter
 
+import pytest
+
 import womctl.verify as verify
 from womctl.errors import EnumerationCapExceeded
 
@@ -132,3 +134,194 @@ def test_each_pool_task_runs_its_shared_pass_once(monkeypatch):
         verify._run_task(([verify.CHECKS[i] for i in group], copy))
     assert calls == {"history_tree": 5, "brute_force_optimal": 9,
                      "common_info_dp": 3}
+
+
+# -- failure-path pins ---------------------------------------------------------
+#
+# One corrupted seam per case: ``FAULTS[seam](real)`` returns the stand-in for
+# ``verify.<seam>``. Each stand-in corrupts only some calls, so that most
+# checks fail at a later instance than their first; the pins then show that a
+# failing check counts its instances up to and including the failing one.
+
+def _flip_one_action(s, psi):
+    """``psi`` with the first entry of its last (target, time) part changed."""
+    parts = {key: dict(rows) for key, rows in psi.parts.items()}
+    (j, t), rows = max(parts.items(), key=lambda e: e[0])
+    a, gamma = next(iter(rows.items()))
+    l, u = next(iter(gamma.table.items()))
+    other = next(v for v in s.action_space(j, t).values if v != u)
+    rows[a] = dataclasses.replace(gamma, table={**gamma.table, l: other})
+    return dataclasses.replace(psi, parts=parts)
+
+
+def _offset_value(res):
+    return dataclasses.replace(res, value=res.value + 1.0)
+
+
+def _unsubset_last_row(report):
+    last = dataclasses.replace(report.rows[-1], subset=False)
+    return dataclasses.replace(report, rows=report.rows[:-1] + [last])
+
+
+def _corrupt_graph_3(real):
+    """graph-3 (two agents) with delay(1, 1) = -1; a negative diagonal entry
+    leaves its relay paths, and so the path check, unchanged."""
+    def build(*args, **kwargs):
+        inp = real(*args, **kwargs)
+        name, topo, d = inp.graph_cases[3]
+        rows = [list(row) for row in d.rows]
+        rows[0][0] = -1
+        inp.graph_cases[3] = (name, topo, dataclasses.replace(
+            d, rows=tuple(map(tuple, rows))))
+        return inp
+    return build
+
+
+FAULTS = {
+    "min_delay_by_paths": lambda real: lambda t: {
+        p: v + (t.agent_count == 6 and p == (3, 1))
+        for p, v in real(t).items()},
+    "replay_memory": lambda real: lambda t, k, time: real(
+        t, k, time - 1 if time >= 4 else time),
+    "joint_distribution": lambda real: lambda s, *a: {
+        tr: p * (1.5 if s.agent_count == 1 else 1.0)
+        for tr, p in real(s, *a).items()},
+    "positional_transfer": lambda real: lambda psi, j, s, *a: (
+        _flip_one_action(s, real(psi, j, s, *a)) if j == 2
+        else real(psi, j, s, *a)),
+    "policy_to_strategy": lambda real: lambda s, d, g, k, *a: (
+        _flip_one_action(s, real(s, d, g, k, *a)) if k == 2
+        else real(s, d, g, k, *a)),
+    "evaluate_strategy": lambda real: lambda s, *a: (
+        real(s, *a) + (0.5 if s.agent_count == 1 else 0.0)),
+    "state_step": lambda real: lambda s, d, st, *a: (
+        (lambda st2, z: (dataclasses.replace(st2, x="?"), z))(
+            *real(s, d, st, *a)) if st.owner == 2 else real(s, d, st, *a)),
+    "stage_cost_hat": lambda real: lambda s, st, *a: (
+        real(s, st, *a) + (1.0 if st.time == 1 else 0.0)),
+    "brute_force_optimal": lambda real: lambda s, *a: (
+        _offset_value(real(s, *a)) if s.agent_count == 1 else real(s, *a)),
+    "domain_comparison": lambda real: lambda s, d: (
+        _unsubset_last_row(real(s, d)) if s.agent_count == 1 else real(s, d)),
+    "accessible_labels": lambda real: lambda d, k, t: real(
+        d, k, t - 1 if k >= 3 and t > 0 else t),
+    "inaccessible_labels": lambda real: lambda d, k, j, t: real(
+        d, k, j, t - 1 if t >= 2 else t),
+    "build_inputs": _corrupt_graph_3,
+}
+
+
+# instances of every check on build_inputs(None, 6, 0), in CHECKS order
+CLEAN_INSTANCES = [6, 6, 6, 6, 6, 3, 15, 3, 6, 6, 6, 6, 6, 6, 9, 15, 5, 9,
+                   89, 81, 52, 89, 256, 25, 3, 3, 5, 3, 3]
+
+# per fault: the checks that fail, as name -> (instances, worst deviation,
+# counterexample); every other check reports as on the clean inputs
+FAILED = {
+    "min_delay_by_paths": {
+        "delay_matrix_matches_path_enumeration": (
+            6, 1, {"case": "graph-5", "pair": [3, 1], "matrix": 1,
+                   "oracle": 2})},
+    "replay_memory": {
+        "memory_matches_transmission_replay": (
+            1, 1.0, {"case": "info-0", "agent": 1, "t": 4})},
+    "joint_distribution": {
+        "trajectory_probability_is_primitive_product": (
+            3, 0.027038771069091347, {"case": "scn-single"})},
+    "positional_transfer": {
+        "prescription_action_consistency_across_owners": (
+            2, 1.0, {"case": "scn-0", "owner": 1, "target": 2})},
+    "policy_to_strategy": {
+        "policy_strategy_round_trip_identity": (
+            2, 1.0, {"case": "scn-0", "owner": 2, "rep": 0}),
+        "strategy_policy_cost_equivalence": (
+            4, 0.24766666666666648, {"case": "scn-0", "owner": 2, "rep": 1})},
+    "evaluate_strategy": {
+        "strategy_policy_cost_equivalence": (
+            21, 0.5, {"case": "scn-single", "owner": 1, "rep": 0}),
+        "dp_greedy_strategy_reproduces_value": (
+            3, 0.4999999999999999, {"case": "scn-single",
+                                    "value": 0.4062999999999999,
+                                    "evaluated": 0.9062999999999998})},
+    "state_step": {
+        "sufficient_state_step_deterministic": (
+            33, 1.0, {"case": "scn-0", "agent": 2, "t": 0,
+                      "what": "state step"})},
+    "stage_cost_hat": {
+        "sufficient_state_step_deterministic": (
+            2, 1.0, {"case": "scn-0", "agent": 1, "t": 1,
+                     "what": "stage cost"})},
+    "brute_force_optimal": {
+        "dp_matches_brute_force": (
+            3, 1.0, {"case": "scn-single", "brute": 1.4062999999999999,
+                     "dp": 0.4062999999999999}),
+        "structural_form_matches_brute_force": (
+            5, 0.9999999999999999, {"case": "scn-single", "agent": 1,
+                                    "brute": 1.4062999999999999,
+                                    "structural": 0.4063})},
+    "domain_comparison": {
+        "domain_report_subset_relation": (
+            3, 1.0, {"case": "scn-single", "agent": 1, "t": 1})},
+    "accessible_labels": {
+        "memory_partition_by_accessible_and_inaccessible": (
+            1, 1.0, {"case": "info-0", "pair": [1, 3], "t": 2})},
+    "inaccessible_labels": {
+        "memory_partition_by_accessible_and_inaccessible": (
+            1, 1.0, {"case": "info-0", "pair": [1, 2], "t": 2})},
+    "build_inputs": {
+        "delay_diagonal_zero": (4, 1.0, {"case": "graph-3", "agent": 1}),
+        "delay_triangle_inequality": (
+            4, 1.0, {"case": "graph-3", "triple": [1, 1, 1]}),
+        "delay_matrix_matches_path_enumeration": (
+            4, 1, {"case": "graph-3", "pair": [1, 1], "matrix": -1,
+                   "oracle": 0}),
+        "delay_matrix_finite": (4, 1.0, {"case": "graph-3", "entry": "-1"})},
+}
+
+
+# calls of the corrupted seam over all checks: a failing check makes no call
+# after its failing instance
+SEAM_CALLS = {
+    "accessible_labels": 704, "brute_force_optimal": 9, "build_inputs": 1,
+    "domain_comparison": 3, "evaluate_strategy": 24,
+    "inaccessible_labels": 147, "joint_distribution": 9,
+    "min_delay_by_paths": 6, "policy_to_strategy": 6,
+    "positional_transfer": 25, "replay_memory": 5, "stage_cost_hat": 2,
+    "state_step": 17,
+}
+
+
+def _report(inp):
+    return [(r.name, r.instances, r.passed, r.worst_deviation,
+             r.counterexample) for r in (fn(inp) for fn in verify.CHECKS)]
+
+
+def test_clean_inputs_pass_every_check_with_the_pinned_instance_counts():
+    report = _report(verify.build_inputs(None, 6, 0))
+    assert [(n, ok, ce) for _name, n, ok, _worst, ce in report] == [
+        (n, True, None) for n in CLEAN_INSTANCES]
+
+
+@pytest.mark.parametrize("seam", sorted(FAULTS))
+def test_each_fault_fails_exactly_its_checks_at_the_pinned_instance(
+        monkeypatch, seam):
+    fake = FAULTS[seam](getattr(verify, seam))
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls[seam] += 1
+        return fake(*args, **kwargs)
+
+    monkeypatch.setattr(verify, seam, counted)
+    report = _report(verify.build_inputs(None, 6, 0))
+    assert calls[seam] == SEAM_CALLS[seam]
+    want = FAILED[seam]
+    assert set(want) <= {name for name, *_rest in report}
+    for (name, n, ok, worst, ce), clean_n in zip(report, CLEAN_INSTANCES):
+        if name in want:
+            # repr tells a boolean or integer deviation from a float one
+            pinned_n, pinned_worst, pinned_ce = want[name]
+            assert (name, n, ok, repr(worst), ce) == (
+                name, pinned_n, False, repr(pinned_worst), pinned_ce)
+        else:
+            assert (name, n, ok, ce) == (name, clean_n, True, None)
