@@ -42,17 +42,24 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
+def _at_least(name: str, value: int, low: int) -> int:
+    """``value``, or an input error when it lies below ``low``."""
+    if value < low:
+        raise WomctlError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def _caps(args) -> tuple[int, int]:
-    cap = args.cap
+    cap, source = args.cap, "--cap"
     if cap is None:
         env = os.environ.get("WOMCTL_CAP")
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise WomctlError(f"WOMCTL_CAP={env!r} is not an integer")
-    if cap is None:
-        return DEFAULT_ENUM_CAP, DEFAULT_POLICY_CAP
+        if env is None:
+            return DEFAULT_ENUM_CAP, DEFAULT_POLICY_CAP
+        try:
+            cap, source = int(env), "WOMCTL_CAP"
+        except ValueError:
+            raise WomctlError(f"WOMCTL_CAP={env!r} is not an integer")
+    _at_least(source, cap, 1)
     return cap, cap
 
 
@@ -84,12 +91,13 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     assign_cap, policy_cap = _caps(args)
-    random_n = args.random
+    random_n = _at_least("--random", args.random, 0)
     if args.scenario is None and random_n == 0:
         random_n = 20
-    report = run_verify(args.scenario, random_n, args.seed,
+    report = run_verify(args.scenario, random_n,
+                        _at_least("--seed", args.seed, 0),
                         policy_cap=policy_cap, assign_cap=assign_cap,
-                        jobs=args.jobs)
+                        jobs=_at_least("--jobs", args.jobs, 1))
     _emit(args, dump_json(report))
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 

@@ -149,18 +149,15 @@ def replay_memory(t: Topology, k: int, time: int) -> InfoSet:
 
 @dataclass
 class HistoryNode:
-    """One reachable conditioning class: shared realization + prescriptions.
-
-    Members are (probability, plant state, label values, primitive
-    assignment) tuples, one per primitive assignment in the class.
-    """
+    """One reachable conditioning class: shared realization + prescriptions,
+    with its probability and the sufficient-state conditional given both."""
 
     agent: int
     time: int
     accessible: Realization
     thetas: tuple[CompletePrescription, ...]
     weight: float
-    members: list[tuple[float, str, dict, object]]
+    belief: BeliefState
     theta_options: list[CompletePrescription] = field(default_factory=list)
     children: list[list[tuple[Realization, float, "HistoryNode"]]] = field(
         default_factory=list)
@@ -172,68 +169,41 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
                  ) -> tuple[list[HistoryNode], list[HistoryNode]]:
     """All reachable conditioning histories of agent k, as a tree.
 
-    Nodes at time t are classes of primitive assignments that share the
-    accessible realization; edges branch over support-distinct complete
-    prescriptions and then split by the new-information outcome.
+    Nodes at time t are the classes of ``conditional_beliefs`` for their
+    prescription history; edges branch over the prescriptions that differ on
+    the node's support and then over the classes that extend the node's
+    shared realization, labelled by the new-information outcome.
     """
     T = s.horizon
-    roots_acc: dict[Realization, list] = {}
-    a0_labels = accessible_labels(d, k, 0)
-    for prim in enumerate_primitives(s, assign_cap):
-        values = {}
-        for j in s.agents():
-            values[obs_label(j, 0)] = s.h(j, 0, prim.x0, prim.v[j - 1][0])
-        a0 = Realization(tuple((l, values[l]) for l in a0_labels))
-        roots_acc.setdefault(a0, []).append((prim.prob, prim.x0, values, prim))
-
     all_nodes: list[HistoryNode] = []
 
-    def make_node(t, a, thetas, members) -> HistoryNode:
+    def make_node(t, a, thetas, pa, pi) -> HistoryNode:
         node = HistoryNode(agent=k, time=t, accessible=a, thetas=thetas,
-                           weight=sum(p for p, _x, _v, _pr in members),
-                           members=members)
+                           weight=pa, belief=pi)
         all_nodes.append(node)
         if len(all_nodes) > node_cap:
             raise EnumerationCapExceeded(
                 "conditioning histories", len(all_nodes), node_cap,
                 exact=False)
-        # entries off the members' support cannot change the conditioning
+        # entries off the belief's support cannot change the conditioning
         doms = [prescription_domain(d, k, j, t) for j in s.agents()]
         node.theta_options = list(support_prescriptions(s, k, t, doms, [
-            {Realization(tuple((l, values[l]) for l in dom))
-             for _p, _x, values, _prim in members} for dom in doms]))
+            {st.info.restrict(dom) for st in pi.probs} for dom in doms]))
         if t == T:
             return node
         z_labels = new_info_labels(d, k, t + 1)
         for theta in node.theta_options:
-            split: dict[Realization, list] = {}
-            for p, x, values, prim in members:
-                u = []
-                for j in s.agents():
-                    gamma = theta.parts[j - 1]
-                    l = Realization(tuple((lbl, values[lbl])
-                                          for lbl in gamma.domain))
-                    u.append(act(gamma, l))
-                u = tuple(u)
-                x2 = s.f(t, x, u, prim.w[t])
-                values2 = dict(values)
-                for j in s.agents():
-                    values2[act_label(j, t)] = u[j - 1]
-                    values2[obs_label(j, t + 1)] = s.h(
-                        j, t + 1, x2, prim.v[j - 1][t + 1])
-                z = Realization(tuple((lbl, values2[lbl]) for lbl in z_labels))
-                split.setdefault(z, []).append((p, x2, values2, prim))
-            edges = []
-            for z in sorted(split, key=lambda r: r.items):
-                sub = split[z]
-                child = make_node(t + 1, a.merge(z), thetas + (theta,), sub)
-                edges.append((z, sum(p for p, _x, _v, _pr in sub), child))
-            node.children.append(edges)
+            thetas2 = thetas + (theta,)
+            node.children.append([
+                (a2.restrict(z_labels), pa2,
+                 make_node(t + 1, a2, thetas2, pa2, pi2))
+                for a2, pa2, pi2 in conditional_beliefs(
+                    s, d, k, thetas2, assign_cap)
+                if a2.restrict(a.domain) == a])
         return node
 
-    roots = []
-    for a0 in sorted(roots_acc, key=lambda r: r.items):
-        roots.append(make_node(0, a0, (), roots_acc[a0]))
+    roots = [make_node(0, a0, (), pa0, pi0)
+             for a0, pa0, pi0 in conditional_beliefs(s, d, k, (), assign_cap)]
     return roots, all_nodes
 
 
@@ -617,13 +587,14 @@ def check_transfer_composition(inp: VerifyInputs):
     for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
         k = s.agent_count  # owner
         psi = random_strategy(sub_rng(inp.seed, 16, idx), s, d, k, cap)
+        direct = {i: _induced_actions(
+            s, d, positional_transfer(psi, i, s, d, cap), cap)
+            for i in s.agents()}
         for j in s.agents():
             via = positional_transfer(psi, j, s, d, cap)
             for i in s.agents():
                 through = positional_transfer(via, i, s, d, cap)
-                direct = positional_transfer(psi, i, s, d, cap)
-                yield (_induced_actions(s, d, through, cap)
-                       != _induced_actions(s, d, direct, cap),
+                yield (_induced_actions(s, d, through, cap) != direct[i],
                        {"case": name, "via": j, "to": i})
 
 
@@ -631,32 +602,23 @@ def _filter_walk(s: Scenario, d: DelayMatrix, k: int, assign_cap: int,
                  policy_cap: int):
     """Pre-order walk over agent k's history tree.
 
-    Yields (node, chained belief, direct-conditioning belief, chained
-    beliefs of the children per prescription option). A root's chained
-    belief is its direct conditioning on the empty prescription history.
-    Direct conditioning runs once per prescription history and serves every
-    class it splits into.
+    Yields (node, chained belief, chained beliefs of the children per
+    prescription option). A root's chained belief is its direct conditioning
+    on the empty prescription history; every node carries its own direct
+    conditioning as ``node.belief``.
     """
     roots, _nodes = history_tree(s, d, k, assign_cap, policy_cap)
 
-    def scratch_of(thetas):
-        return {a: pi for a, _pa, pi in conditional_beliefs(
-            s, d, k, thetas, assign_cap)}
-
-    def walk(node, pi, scratch):
+    def walk(node, pi):
         kids = [[belief_update(s, d, pi, theta, z) for z, _w, _child in edges]
                 for theta, edges in zip(node.theta_options, node.children)]
-        yield node, pi, scratch, kids
-        for theta, edges, beliefs in zip(node.theta_options, node.children,
-                                         kids):
-            scratch_kids = scratch_of(node.thetas + (theta,))
+        yield node, pi, kids
+        for edges, beliefs in zip(node.children, kids):
             for (_z, _w, child), nxt in zip(edges, beliefs):
-                yield from walk(child, nxt, scratch_kids[child.accessible])
+                yield from walk(child, nxt)
 
-    scratch_roots = scratch_of(())
     for root in roots:
-        pi = scratch_roots[root.accessible]
-        yield from walk(root, pi, pi)
+        yield from walk(root, root.belief)
 
 
 def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
@@ -679,12 +641,12 @@ def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
             reps: list[BeliefState] = []
             markov_reps: list[BeliefState] = []
             groups: dict[tuple, list] = {}
-            for node, pi, scratch, kids in _filter_walk(
+            for node, pi, kids in _filter_walk(
                     s, d, k, inp.assign_cap, inp.policy_cap):
                 at = {"case": name, "agent": k, "t": node.time}
-                chain.see(belief_linf(pi, scratch), at)
+                chain.see(belief_linf(pi, node.belief), at)
                 normalized.see(max(abs(pi.total() - 1.0),
-                                   abs(scratch.total() - 1.0)), at)
+                                   abs(node.belief.total() - 1.0)), at)
                 rid = _belief_reps_intern(reps, pi)
                 if node.time < s.horizon:
                     markov_rid = _belief_reps_intern(markov_reps, pi)
@@ -759,6 +721,13 @@ def check_sufficient_state_determinism(inp: VerifyInputs):
                             info=realize(sufficient_info_labels(d, k, t)))
                         theta = complete_prescription_at(
                             s, d, psi, t, realize(accessible_labels(d, k, t)))
+                        # equal stage costs alone would let a wrong action
+                        # with the same cost through
+                        if tuple(act(gamma, st.info.restrict(gamma.domain))
+                                 for gamma in theta.parts) != tuple(
+                                traj.actions[j - 1][t] for j in s.agents()):
+                            yield True, {**at, "what": "actions"}
+                            continue
                         cost_wrong = (stage_cost_hat(s, st, theta, d)
                                       != traj.stage_costs[t])
                         if cost_wrong or t == s.horizon:

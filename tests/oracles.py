@@ -1,15 +1,31 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the package's own shortest-path and label-set code:
-delays come from exhaustive simple-path enumeration or Bellman-Ford
-relaxation, and memories from replaying transmissions hop by hop.
+These deliberately avoid the package's own shortest-path, label-set and
+conditioning code: delays come from exhaustive simple-path enumeration or
+Bellman-Ford relaxation, memories from replaying transmissions hop by hop,
+and conditioning classes from replaying every primitive assignment.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
-from womctl.infostruct import InfoSet, act, obs
+from womctl.infostruct import (
+    DEFAULT_ENUM_CAP,
+    InfoSet,
+    Realization,
+    accessible_labels,
+    act,
+    new_info_labels,
+    obs,
+)
+from womctl.prescription import (
+    act as prescribed_action,
+    prescription_domain,
+    support_prescriptions,
+)
+from womctl.scenario import enumerate_primitives
 from womctl.topology import Topology
 
 
@@ -93,3 +109,84 @@ def tie_broken_relay_paths(t: Topology) -> dict[tuple[int, int], tuple[int, ...]
                     stack.append((nodes + (nxt,),
                                   arrivals + ((arrivals[-1] if arrivals else 0) + w,)))
     return {pair: key[2] for pair, key in best.items()}
+
+
+def _values_at(values: dict, labels) -> Realization:
+    return Realization(tuple((l, values[l]) for l in labels))
+
+
+def replayed_members(s, d, k: int, thetas: tuple,
+                     cap: int = DEFAULT_ENUM_CAP) -> dict[Realization, list]:
+    """Per realization of agent k's shared information at t = len(thetas),
+    the (probability, plant state, label values) of every primitive
+    assignment that reaches it when the prescriptions ``thetas`` are played."""
+    t = len(thetas)
+    out: dict[Realization, list] = {}
+    for prim in enumerate_primitives(s, cap):
+        x, values = prim.x0, {}
+        for tau in range(t + 1):
+            for j in s.agents():
+                values[obs(j, tau)] = s.h(j, tau, x, prim.v[j - 1][tau])
+            if tau == t:
+                break
+            u = tuple(prescribed_action(gamma, _values_at(values, gamma.domain))
+                      for gamma in thetas[tau].parts)
+            for j in s.agents():
+                values[act(j, tau)] = u[j - 1]
+            x = s.f(tau, x, u, prim.w[tau])
+        a = _values_at(values, accessible_labels(d, k, t))
+        out.setdefault(a, []).append((prim.prob, x, values))
+    return out
+
+
+def node_members(s, d, node, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """The primitive assignments in one history-tree node's class."""
+    return replayed_members(s, d, node.agent, node.thetas, cap)[node.accessible]
+
+
+@dataclass
+class MemberNode:
+    """One conditioning class of ``member_history_tree``."""
+
+    time: int
+    accessible: Realization
+    thetas: tuple
+    members: list
+    theta_options: list
+    # new-information outcomes of the children, per prescription option
+    edge_labels: list = field(default_factory=list)
+
+    @property
+    def weight(self) -> float:
+        return sum(p for p, _x, _values in self.members)
+
+
+def member_history_tree(s, d, k: int,
+                        cap: int = DEFAULT_ENUM_CAP) -> list[MemberNode]:
+    """Agent k's reachable conditioning classes in pre-order, each with the
+    primitive assignments it holds. Options differ on the values the members
+    reach; a child under an option is a class of the longer replay whose
+    shared realization extends the parent's."""
+    nodes: list[MemberNode] = []
+
+    def grow(t, a, thetas, members):
+        doms = [prescription_domain(d, k, j, t) for j in s.agents()]
+        node = MemberNode(t, a, thetas, members, list(support_prescriptions(
+            s, k, t, doms, [{_values_at(values, dom) for _p, _x, values in members}
+                            for dom in doms])))
+        nodes.append(node)
+        if t == s.horizon:
+            return
+        z_labels = new_info_labels(d, k, t + 1)
+        for theta in node.theta_options:
+            classes = replayed_members(s, d, k, thetas + (theta,), cap)
+            kids = [a2 for a2 in sorted(classes, key=lambda r: r.items)
+                    if a2.restrict(a.domain) == a]
+            node.edge_labels.append([a2.restrict(z_labels) for a2 in kids])
+            for a2 in kids:
+                grow(t + 1, a2, thetas + (theta,), classes[a2])
+
+    classes = replayed_members(s, d, k, (), cap)
+    for a0 in sorted(classes, key=lambda r: r.items):
+        grow(0, a0, (), classes[a0])
+    return nodes

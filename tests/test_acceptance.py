@@ -34,6 +34,7 @@ from womctl.infostruct import (
 from womctl.belief import SufficientState
 from womctl.fixtures import fixture_path
 from womctl.prescription import (
+    act,
     complete_prescription_at,
     policy_to_strategy,
     positional_transfer,
@@ -57,7 +58,7 @@ from womctl.solver import (
 from womctl.topology import min_delay_matrix
 from womctl.verify import history_tree, theta_fingerprint
 
-from oracles import simple_path_min_delays
+from oracles import node_members, simple_path_min_delays
 
 EQ_TOL = 1e-12
 TOL = 1e-9
@@ -225,19 +226,20 @@ def test_criterion_6_expected_cost_property(inst_a):
     for k in (1, 2):
         roots, _all = history_tree(s, d, k)
         for node, pi in _chained_walk(s, d, roots):
+            members = node_members(s, d, node)
+            mass = sum(p for p, _x, _values in members)
             for theta in node.theta_options:
                 pairs += 1
                 by_enum = 0.0
-                for p, x, values, _prim in node.members:
+                for p, x, values in members:
                     u = []
                     for j in s.agents():
                         gamma = theta.parts[j - 1]
                         l = Realization(tuple((lbl, values[lbl])
                                               for lbl in gamma.domain))
-                        from womctl.prescription import act
                         u.append(act(gamma, l))
                     by_enum += p * s.c(node.time, x, tuple(u))
-                by_enum /= node.weight
+                by_enum /= mass
                 got = expected_cost(s, pi, theta, d)
                 worst = max(worst, abs(got - by_enum))
     assert worst <= TOL, f"cost deviation {worst}"

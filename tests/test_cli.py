@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -112,7 +113,6 @@ def test_solve_exceeding_the_cap_exits_3():
 
 
 def test_cap_environment_variable_is_honored():
-    import os
     env = dict(os.environ, WOMCTL_CAP="10")
     r = subprocess.run(
         [sys.executable, "-m", "womctl", "solve", "--scenario", INSTANCE_A,
@@ -227,3 +227,27 @@ def test_belief_command_rejects_malformed_history(tmp_path, text):
                "--history", str(history))
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args, env_cap, message", [
+    (("verify", "--random", "-3"), None, "--random must be at least 0, got -3"),
+    (("verify", "--random", "1", "--seed", "-1"), None,
+     "--seed must be at least 0, got -1"),
+    (("verify", "--random", "1", "--jobs", "0"), None,
+     "--jobs must be at least 1, got 0"),
+    (("verify", "--random", "1", "--jobs", "-1"), None,
+     "--jobs must be at least 1, got -1"),
+    (("verify", "--random", "1", "--cap", "-5"), None,
+     "--cap must be at least 1, got -5"),
+    (("solve", "--scenario", INSTANCE_A, "--method", "brute", "--cap", "0"),
+     None, "--cap must be at least 1, got 0"),
+    (("solve", "--scenario", INSTANCE_A, "--method", "brute"), "0",
+     "WOMCTL_CAP must be at least 1, got 0"),
+])
+def test_numeric_options_out_of_range_are_input_errors(args, env_cap, message):
+    env = {k: v for k, v in os.environ.items() if k != "WOMCTL_CAP"}
+    if env_cap is not None:
+        env["WOMCTL_CAP"] = env_cap
+    r = subprocess.run([sys.executable, "-m", "womctl", *args],
+                       capture_output=True, text=True, env=env)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")

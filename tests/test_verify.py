@@ -13,7 +13,13 @@ from collections import Counter
 import pytest
 
 import womctl.verify as verify
+from womctl.belief import BELIEF_TOL, SufficientState, sufficient_info_labels
 from womctl.errors import EnumerationCapExceeded
+from womctl.fixtures import instance_a
+from womctl.infostruct import Realization
+from womctl.topology import min_delay_matrix
+
+from oracles import member_history_tree
 
 SCN0_AGENT1_T1 = {"case": "scn-0", "agent": 1, "t": 1}
 
@@ -87,7 +93,8 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("history_tree", "brute_force_optimal", "common_info_dp"):
+    for name in ("history_tree", "brute_force_optimal", "common_info_dp",
+                 "enumerate_primitives", "conditional_beliefs"):
         monkeypatch.setattr(verify, name, counted(name))
     report = verify.run_verify(None, 1, 0)
     assert report["passed"]
@@ -95,9 +102,53 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
     # one tree per (scenario case, agent): scn-0 and scn-1 have two agents,
     # scn-single one; brute runs once per scenario case plus twice per pair of
     # the delay-monotonicity check
-    assert calls == {"history_tree": 5, "brute_force_optimal": 9,
-                     "common_info_dp": 3}
+    assert {name: calls[name] for name in (
+        "history_tree", "brute_force_optimal", "common_info_dp")} == {
+        "history_tree": 5, "brute_force_optimal": 9, "common_info_dp": 3}
+    # the filter pass conditions only through conditional_beliefs, as many
+    # times as the tree has (node, prescription option) pairs below the
+    # horizon plus once for the roots of each tree, and replays no primitive
+    # assignment of its own
+    calls.clear()
+    verify._filter_pass(verify.build_inputs(None, 1, 0))
+    assert (calls["enumerate_primitives"], calls["conditional_beliefs"]) == (
+        0, 57)
 
+
+def _tree_cases():
+    topo, s = instance_a()
+    yield pytest.param(s, min_delay_matrix(topo), id="instance_a")
+    for name, _topo, d, s in verify.build_inputs(None, 6, 0).scenario_cases:
+        yield pytest.param(s, d, id=name)
+
+
+@pytest.mark.parametrize("s, d", _tree_cases())
+def test_history_tree_matches_the_member_replay(s, d):
+    for k in s.agents():
+        _roots, nodes = verify.history_tree(s, d, k)
+        oracle = member_history_tree(s, d, k)
+        assert [(n.time, n.accessible, n.thetas, n.theta_options)
+                for n in nodes] == [
+            (o.time, o.accessible, o.thetas, o.theta_options) for o in oracle]
+        for node, want in zip(nodes, oracle):
+            assert [[z for z, _w, _child in edges]
+                    for edges in node.children] == want.edge_labels
+            for theta, edges in zip(node.theta_options, node.children):
+                for z, w, child in edges:
+                    assert (child.thetas, child.accessible, w) == (
+                        node.thetas + (theta,), node.accessible.merge(z),
+                        child.weight)
+            assert abs(node.weight - want.weight) <= 1e-12
+            conditional: dict[SufficientState, float] = {}
+            info = sufficient_info_labels(d, k, node.time)
+            for p, x, values in want.members:
+                st = SufficientState(owner=k, time=node.time, x=x,
+                                     info=Realization(tuple(
+                                         (l, values[l]) for l in info)))
+                conditional[st] = conditional.get(st, 0.0) + p / want.weight
+            assert set(node.belief.probs) == set(conditional)
+            assert max(abs(node.belief.probs[st] - p)
+                       for st, p in conditional.items()) <= BELIEF_TOL
 
 
 def test_pool_tasks_group_the_checks_of_each_shared_pass():
@@ -178,6 +229,8 @@ def _corrupt_graph_3(real):
 
 
 FAULTS = {
+    "act": lambda real: lambda gamma, l: (
+        "?" if (gamma.target, gamma.time) == (2, 1) else real(gamma, l)),
     "min_delay_by_paths": lambda real: lambda t: {
         p: v + (t.agent_count == 6 and p == (3, 1))
         for p, v in real(t).items()},
@@ -218,6 +271,9 @@ CLEAN_INSTANCES = [6, 6, 6, 6, 6, 3, 15, 3, 6, 6, 6, 6, 6, 6, 9, 15, 5, 9,
 # per fault: the checks that fail, as name -> (instances, worst deviation,
 # counterexample); every other check reports as on the clean inputs
 FAILED = {
+    "act": {
+        "sufficient_state_step_deterministic": (
+            2, 1.0, {"case": "scn-0", "agent": 1, "t": 1, "what": "actions"})},
     "min_delay_by_paths": {
         "delay_matrix_matches_path_enumeration": (
             6, 1, {"case": "graph-5", "pair": [3, 1], "matrix": 1,
@@ -282,11 +338,11 @@ FAILED = {
 # calls of the corrupted seam over all checks: a failing check makes no call
 # after its failing instance
 SEAM_CALLS = {
-    "accessible_labels": 704, "brute_force_optimal": 9, "build_inputs": 1,
-    "domain_comparison": 3, "evaluate_strategy": 24,
+    "accessible_labels": 699, "act": 4, "brute_force_optimal": 9,
+    "build_inputs": 1, "domain_comparison": 3, "evaluate_strategy": 24,
     "inaccessible_labels": 147, "joint_distribution": 9,
     "min_delay_by_paths": 6, "policy_to_strategy": 6,
-    "positional_transfer": 25, "replay_memory": 5, "stage_cost_hat": 2,
+    "positional_transfer": 21, "replay_memory": 5, "stage_cost_hat": 2,
     "state_step": 17,
 }
 
