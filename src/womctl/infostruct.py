@@ -41,10 +41,14 @@ class VarLabel:
         return f"{'y' if self.kind == Kind.OBS else 'u'}{self.agent}@{self.time}"
 
 
+# Labels are flyweights: obs/act hand out one shared object per label, and
+# nothing else in the package constructs a VarLabel.
+@lru_cache(maxsize=None)
 def obs(agent: int, time: int) -> VarLabel:
     return VarLabel(agent, time, Kind.OBS)
 
 
+@lru_cache(maxsize=None)
 def act(agent: int, time: int) -> VarLabel:
     return VarLabel(agent, time, Kind.ACT)
 
@@ -123,6 +127,16 @@ class Realization:
         return ",".join(f"{l}={v}" for l, v in self.items)
 
 
+# One shared InfoSet per distinct label tuple that the two caches below return:
+# many (d, k, t) keys yield the same set.
+_SETS: dict[InfoSet, InfoSet] = {}
+
+
+def _shared_set(labels: Iterable[VarLabel]) -> InfoSet:
+    info = InfoSet.of(labels)
+    return _SETS.setdefault(info, info)
+
+
 @lru_cache(maxsize=None)
 def memory_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:
     """Everything agent k has received by time t.
@@ -136,7 +150,7 @@ def memory_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:
         lag = d.delay(j, k)
         labels.extend(obs(j, tau) for tau in range(0, t - lag + 1))
         labels.extend(act(j, tau) for tau in range(0, t - lag))
-    return InfoSet.of(labels)
+    return _shared_set(labels)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +165,7 @@ def accessible_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:
         lag = max(d.delay(j, i) for i in range(1, k + 1))
         labels.extend(obs(j, tau) for tau in range(0, t - lag + 1))
         labels.extend(act(j, tau) for tau in range(0, t - lag))
-    return InfoSet.of(labels)
+    return _shared_set(labels)
 
 
 def new_info_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:

@@ -277,4 +277,6 @@ def load_scenario(path: str | Path) -> tuple[Topology, Scenario]:
         text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise WomctlError(f"cannot read {p}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise WomctlError(f"{p} is not UTF-8 text: {e}") from None
     return loads_scenario(text)

@@ -11,7 +11,7 @@ import json
 import re
 
 from .errors import WomctlError
-from .infostruct import InfoSet, Kind, Realization, VarLabel
+from .infostruct import InfoSet, Kind, Realization, VarLabel, act, obs
 from .prescription import (
     CompletePrescription,
     FullStrategy,
@@ -30,8 +30,8 @@ def parse_label(text: str) -> VarLabel:
     m = _LABEL_RE.match(text.strip())
     if not m:
         raise WomctlError(f"bad label {text!r}; expected y<agent>@<t> or u<agent>@<t>")
-    kind = Kind.OBS if m.group(1) == "y" else Kind.ACT
-    return VarLabel(int(m.group(2)), int(m.group(3)), kind)
+    make = obs if m.group(1) == "y" else act
+    return make(int(m.group(2)), int(m.group(3)))
 
 
 def label_obj(l: VarLabel) -> dict:
@@ -52,7 +52,10 @@ def parse_realization(text: str) -> Realization:
         if "=" not in piece:
             raise WomctlError(f"bad realization component {piece!r}")
         lbl, val = piece.split("=", 1)
-        items[parse_label(lbl)] = val
+        label = parse_label(lbl)
+        if label in items:
+            raise WomctlError(f"label {label} given twice")
+        items[label] = val
     return Realization.of(items)
 
 

@@ -35,12 +35,13 @@ from .infostruct import (
     InfoSet,
     Kind,
     Realization,
-    VarLabel,
     accessible_labels,
+    act,
     count_realizations,
     enumerate_realizations,
     inaccessible_labels,
     memory_labels,
+    obs,
 )
 from .prescription import (
     FullStrategy,
@@ -116,7 +117,7 @@ def _value_of(ys, us, lbl: RawLabel) -> str:
 
 
 def _realize(raw: tuple[RawLabel, ...], values) -> Realization:
-    return Realization.of({VarLabel(a, t, Kind(kind)): v
+    return Realization.of({(obs if kind == Kind.OBS else act)(a, t): v
                            for (a, t, kind), v in zip(raw, values)})
 
 

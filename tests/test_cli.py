@@ -81,6 +81,16 @@ def test_validate_missing_file_is_an_input_error():
     assert "error" in r.stderr
 
 
+def test_non_utf8_scenario_file_is_an_input_error(tmp_path):
+    bad = tmp_path / "utf16.wom"
+    bad.write_bytes(b"\xff\xfe" + TINY.encode("utf-16-le"))
+    for args in (("validate",), ("solve", "--method", "brute")):
+        r = womctl(*args, "--scenario", str(bad))
+        assert (r.returncode, r.stdout) == (2, ""), r.stderr
+        assert r.stderr.startswith(f"error: {bad} is not UTF-8 text")
+        assert "Traceback" not in r.stderr
+
+
 def test_infostruct_prints_the_worked_label_sets():
     r = womctl("infostruct", "--scenario", INSTANCE_A, "--t", "2")
     assert r.returncode == 0
@@ -227,6 +237,16 @@ def test_belief_command_rejects_malformed_history(tmp_path, text):
                "--history", str(history))
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
+
+
+def test_belief_command_rejects_a_repeated_label(tmp_path):
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps({"accessible": "y1@0=zz,y1@0=a",
+                                   "prescriptions": []}), encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "error: label y1@0 given twice\n")
 
 
 @pytest.mark.parametrize("args, env_cap, message", [

@@ -90,3 +90,34 @@ def test_every_definition_in_the_package_is_referenced():
                for p in sorted(PACKAGE.glob("*.py"))}
     tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
     assert _unreferenced(modules, list(modules.values()) + tests) == []
+
+
+def _label_constructions(source: str) -> list[str]:
+    """The module-level definitions of ``source`` that call ``VarLabel(...)``,
+    once per call; a call outside any definition is reported by line."""
+    out = []
+    for node in ast.parse(source).body:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call) and (
+                    getattr(n.func, "id", None) == "VarLabel"
+                    or getattr(n.func, "attr", None) == "VarLabel"):
+                out.append(getattr(node, "name", f"line {n.lineno}"))
+    return out
+
+
+def test_label_construction_detector_flags_a_second_factory():
+    module = ("def obs(a, t): return VarLabel(a, t, 0)\n"
+              "def parse(text) -> VarLabel:\n    return VarLabel(int(text), 0, 0)\n"
+              "def realize(raw):\n"
+              "    return {VarLabel(a, t, k): v for (a, t, k), v in raw}\n"
+              "def via_module(): return infostruct.VarLabel(1, 0, 0)\n"
+              "def annotated(l: VarLabel) -> VarLabel: return l\n"
+              "ONE = VarLabel(1, 0, 0)\n")
+    assert _label_constructions(module) == [
+        "obs", "parse", "realize", "via_module", "line 8"]
+
+
+def test_labels_are_constructed_only_by_obs_and_act():
+    found = [f"{p.stem}.{where}" for p in sorted(PACKAGE.glob("*.py"))
+             for where in _label_constructions(p.read_text(encoding="utf-8"))]
+    assert found == ["infostruct.obs", "infostruct.act"]

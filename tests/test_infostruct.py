@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from womctl.errors import EnumerationCapExceeded, NotBeyond
 from womctl.infostruct import (
     InfoSet,
+    Kind,
     Realization,
     accessible_labels,
     act,
@@ -14,7 +15,10 @@ from womctl.infostruct import (
     obs,
 )
 from womctl.randgen import random_topology, sub_rng
+from womctl.serialize import parse_label
+from womctl.solver import _realize
 from womctl.topology import Topology, min_delay_matrix
+from womctl.verify import build_inputs
 
 from oracles import replayed_memory
 
@@ -172,3 +176,33 @@ def test_partition_and_nesting_and_monotonicity(seed):
                 assert len(priv.intersect(acc)) == 0
             assert inaccessible_labels(d, k, k, t).issubset(
                 inaccessible_labels(d, k, K, t))
+
+
+def _canonical(label):
+    return (obs if label.kind == Kind.OBS else act)(label.agent, label.time)
+
+
+def test_every_route_to_a_label_hands_back_the_shared_object(inst_a):
+    _topo, s, d = inst_a
+    assert obs(1, 0) is obs(1, 0) and act(2, 1) is act(2, 1)
+    assert parse_label("y1@0") is obs(1, 0)
+    assert parse_label(" u2@1 ") is act(2, 1)
+    realized = _realize(((1, 0, int(Kind.OBS)), (2, 1, int(Kind.ACT))),
+                        ("a", "u0"))
+    assert [l for l, _v in realized.items] == [obs(1, 0), act(2, 1)]
+    assert all(l is _canonical(l) for l, _v in realized.items)
+    for r in enumerate_realizations(s, memory_labels(d, 2, 1)):
+        assert all(l is _canonical(l) for l, _v in r.items)
+
+
+def test_equal_label_sets_are_one_object_over_the_verify_cases():
+    shared = {}
+    results = 0
+    for _name, _topo, d, horizon in build_inputs(None, 200, 0).info_cases:
+        for k in d.agents():
+            for t in range(horizon + 1):
+                for info in (memory_labels(d, k, t), accessible_labels(d, k, t)):
+                    results += 1
+                    assert shared.setdefault(info, info) is info
+                    assert all(l is _canonical(l) for l in info)
+    assert len(shared) < results
