@@ -123,12 +123,22 @@ def cmd_infostruct(args) -> int:
     return EXIT_OK
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object that gives no key twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise WomctlError(f"history file gives the key {key!r} twice")
+        out[key] = value
+    return out
+
+
 def cmd_belief(args) -> int:
     s, d = _load(args)
     k = args.agent
     with open(args.history, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as e:
             raise WomctlError(f"history file is not valid JSON: {e}") from None
     if not isinstance(payload, dict):

@@ -26,7 +26,7 @@ from .infostruct import DEFAULT_ENUM_CAP, Realization, act, memory_labels, obs
 from .topology import DelayMatrix, Topology, min_delay_matrix
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .randgen import Rng
 
 DIST_TOL = 1e-12
 
@@ -68,11 +68,9 @@ class Distribution:
     def support(self) -> list[tuple[str, float]]:
         return [(v, self.probs[v]) for v in self.space.values if self.probs.get(v, 0.0) > 0.0]
 
-    def sample(self, rng: np.random.Generator) -> str:
-        import numpy as np
-
-        values, weights = zip(*[(v, self.probs.get(v, 0.0)) for v in self.space.values])
-        return values[int(rng.choice(len(values), p=np.asarray(weights)))]
+    def sample(self, rng: Rng) -> str:
+        values = self.space.values
+        return values[rng.choice(len(values), [self.probs.get(v, 0.0) for v in values])]
 
 
 @dataclass(frozen=True)
@@ -330,13 +328,12 @@ def simulate(s: Scenario, t: Topology, g: Policy, seed: int) -> Trajectory:
     Each primitive variable draws from its own generator stream, spawned in a
     fixed order (initial state, then w by time, then each agent's v by time).
     """
-    import numpy as np
+    from .randgen import Rng, SeedSequence
 
     d = min_delay_matrix(t)
     T = s.horizon
     n_streams = 1 + (T + 1) + s.agent_count * (T + 1)
-    streams = [np.random.default_rng(ss)
-               for ss in np.random.SeedSequence(seed).spawn(n_streams)]
+    streams = [Rng(ss) for ss in SeedSequence(seed).spawn(n_streams)]
     x0 = s.init_dist.sample(streams[0])
     w = tuple(s.w_dists[tt].sample(streams[1 + tt]) for tt in range(T + 1))
     v = tuple(

@@ -112,10 +112,15 @@ def parse_prescriptions(s: Scenario, d: DelayMatrix, k: int,
     mapping target agent to a {domain realization: action} table."""
     if not isinstance(payload, list):
         raise WomctlError("history 'prescriptions' must be a list of steps")
+    agents = [str(j) for j in s.agents()]
     out = []
     for t, entry in enumerate(payload):
         if not isinstance(entry, dict):
             raise WomctlError(f"history step {t} must map agents to tables")
+        for key in entry:
+            if key not in agents:
+                raise WomctlError(f"history step {t}: {key!r} is not an agent "
+                                  f"in 1..{s.agent_count}")
         parts = []
         for j in s.agents():
             table_in = entry.get(str(j))
@@ -131,6 +136,9 @@ def parse_prescriptions(s: Scenario, d: DelayMatrix, k: int,
                         f"does not match the required domain")
                 if u not in s.action_space(j, t).values:
                     raise WomctlError(f"unknown action {u!r} for agent {j}")
+                if r in table:
+                    raise WomctlError(f"history step {t}, agent {j}: realization "
+                                      f"{key!r} repeats an earlier key")
                 table[r] = u
             parts.append(PrescriptionFunction(owner=k, target=j, time=t,
                                               domain=dom, table=table))

@@ -256,7 +256,7 @@ def build_inputs(scenario_path: str | None, random_n: int, seed: int,
         rng = sub_rng(seed, 2, i)
         topo = random_topology(rng, max_agents=5)
         info_cases.append((f"info-{i}", topo, min_delay_matrix(topo),
-                           int(rng.integers(0, 7))))
+                           rng.integers(0, 7)))
     if random_n > 0:
         for i in range(2):
             rng = sub_rng(seed, 3, i)
@@ -822,7 +822,7 @@ def check_monotone_information(inp: VerifyInputs):
     for i in range(3):
         rng = sub_rng(inp.seed, 19, i)
         K = 2
-        delay = int(rng.integers(2, 4))
+        delay = rng.integers(2, 4)
         slow = Topology.of(K, [(1, 2, delay), (2, 1, delay)])
         fast = Topology.of(K, [(1, 2, delay - 1), (2, 1, delay - 1)])
         s = random_scenario(rng, slow, horizon=1)

@@ -249,6 +249,26 @@ def test_belief_command_rejects_a_repeated_label(tmp_path):
         2, "", "error: label y1@0 given twice\n")
 
 
+_STEP = ('{"1": {"y1@0=a": "u0", "y1@0=b": "u1"}, '
+         '"2": {"y2@0=a": "u0", "y2@0=b": "u1"}%s}')
+
+
+@pytest.mark.parametrize("step, message", [
+    (_STEP.replace('"y1@0=b"', '" y1@0=a"') % "",
+     "history step 0, agent 1: realization ' y1@0=a' repeats an earlier key"),
+    (_STEP.replace('"y1@0=b"', '"y1@0=a"') % "",
+     "history file gives the key 'y1@0=a' twice"),
+    (_STEP % ', "3": {}', "history step 0: '3' is not an agent in 1..2"),
+], ids=["same-realization", "duplicate-json-key", "unknown-agent"])
+def test_belief_command_rejects_an_ambiguous_history_step(tmp_path, step, message):
+    history = tmp_path / "history.json"
+    history.write_text('{"accessible": "y1@0=a,y2@0=a", "prescriptions": [%s]}'
+                       % step, encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("args, env_cap, message", [
     (("verify", "--random", "-3"), None, "--random must be at least 0, got -3"),
     (("verify", "--random", "1", "--seed", "-1"), None,

@@ -121,3 +121,32 @@ def test_labels_are_constructed_only_by_obs_and_act():
     found = [f"{p.stem}.{where}" for p in sorted(PACKAGE.glob("*.py"))
              for where in _label_constructions(p.read_text(encoding="utf-8"))]
     assert found == ["infostruct.obs", "infostruct.act"]
+
+
+def _numpy_imports(source: str) -> list[int]:
+    """Lines that import numpy or a submodule of it, at any depth."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names = [alias.name for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            names = [n.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            out.append(n.lineno)
+    return out
+
+
+def test_numpy_import_detector_flags_every_form():
+    module = ("import numbers, os\nimport numpy as np\n"
+              "if TYPE_CHECKING:\n    from numpy.random import Generator\n"
+              "def draw():\n    import os, numpy.random\n"
+              "from .numpy_like import x\n")
+    assert _numpy_imports(module) == [2, 4, 6]
+
+
+def test_no_module_imports_numpy():
+    found = {p.name: lines for p in sorted(PACKAGE.glob("*.py"))
+             if (lines := _numpy_imports(p.read_text(encoding="utf-8")))}
+    assert found == {}
