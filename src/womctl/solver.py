@@ -215,48 +215,59 @@ class _Engine:
         return [tuple(e) for _, e in sorted(merged.items())]
 
 
-def _search(eng: _Engine, stage_cells, what: str, policy_cap: int):
+class _Search:
     """Exhaustive DFS over one action per (agent, cell) at every stage.
 
     ``stage_cells(t, particles)`` returns, per agent, the sorted cells its
     action may depend on at t, each particle's cell index per agent, and any
     extra data the caller needs to read the chosen tables back. Branches are
     visited in canonical order (time, agent, cell, action) and ties keep the
-    first candidate. Returns the least expected cost, the (t, cells, extra,
-    branch) choices attaining it per stage, and the number of candidates.
+    first candidate. After ``visit(0, eng.initial_particles())``,
+    ``best_value`` is the least expected cost, ``best_snapshot`` the (t,
+    cells, extra, branch) choices attaining it per stage, and ``count`` the
+    number of candidates. The recursion goes through the instance, not a
+    closure over itself, so the search leaves no reference cycle behind.
     """
-    K, T = eng.K, eng.T
-    best_value = math.inf
-    best_snapshot: list | None = None
-    stack: list = []
-    count = 0
 
-    def rec(t: int, particles):
-        nonlocal best_value, best_snapshot, count
-        if t > T:
-            count += 1
-            if count > policy_cap:
-                raise EnumerationCapExceeded(what, count, policy_cap, exact=False)
+    def __init__(self, eng: _Engine, stage_cells, what: str, policy_cap: int):
+        self.eng, self.stage_cells = eng, stage_cells
+        self.what, self.policy_cap = what, policy_cap
+        self.best_value = math.inf
+        self.best_snapshot: list | None = None
+        self.stack: list = []
+        self.count = 0
+
+    def visit(self, t: int, particles) -> None:
+        eng, K = self.eng, self.eng.K
+        if t > eng.T:
+            self.count += 1
+            if self.count > self.policy_cap:
+                raise EnumerationCapExceeded(self.what, self.count,
+                                             self.policy_cap, exact=False)
             value = sum(p * c for (p, _x, _ys, _us, _mks, c) in particles)
-            if value < best_value:
-                best_value = value
-                best_snapshot = list(stack)
+            if value < self.best_value:
+                self.best_value = value
+                self.best_snapshot = list(self.stack)
             return
         parts = eng.observe(t, particles)
-        cells, pcell, extra = stage_cells(t, parts)
+        cells, pcell, extra = self.stage_cells(t, parts)
         option_lists = [
             list(itertools.product(eng.actions[t][j], repeat=len(cells[j])))
             for j in range(K)
         ]
         for branch in itertools.product(*option_lists):
             u_list = [tuple(branch[j][ix[j]] for j in range(K)) for ix in pcell]
-            stack.append((t, cells, extra, branch))
-            rec(t + 1, eng.advance(t, parts, u_list))
-            stack.pop()
+            self.stack.append((t, cells, extra, branch))
+            self.visit(t + 1, eng.advance(t, parts, u_list))
+            self.stack.pop()
 
-    rec(0, eng.initial_particles())
-    assert best_snapshot is not None
-    return best_value, best_snapshot, count
+
+def _search(eng: _Engine, stage_cells, what: str, policy_cap: int):
+    """Run a ``_Search``; returns (best value, best snapshot, candidates)."""
+    dfs = _Search(eng, stage_cells, what, policy_cap)
+    dfs.visit(0, eng.initial_particles())
+    assert dfs.best_snapshot is not None
+    return dfs.best_value, dfs.best_snapshot, dfs.count
 
 
 def _total_strategy(s: Scenario, d: DelayMatrix, k: int, parts,
@@ -329,38 +340,52 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     problem. Reachable beliefs are expanded forward (deduplicated within an
     L-infinity tolerance), values are computed backward, and the greedy
     strategy is read off along the reachable paths.
+
+    A prescription is only the input at a belief node: the forward pass keeps
+    each option's stage cost and successors, not the prescription, and the
+    read-out enumerates a reached node's options again to take the greedy one.
     """
     start = time.perf_counter()
     K, T = s.agent_count, s.horizon
+    doms = [[prescription_domain(d, K, j, t) for j in s.agents()]
+            for t in s.times()]
+
+    def prescriptions(t: int, pi: BeliefState):
+        # off-support entries cannot affect cost or filtering
+        reached = [{st.info.restrict(dom) for st, _ in pi.support()}
+                   for dom in doms[t]]
+        return support_prescriptions(s, K, t, doms[t], reached)
+
     roots = conditional_beliefs(s, d, K, (), assign_cap)
     levels: list[list[BeliefState]] = [[]]
     root_nodes = [(a, pa, _belief_reps_intern(levels[0], b)) for a, pa, b in roots]
     candidates = 0
-    # options[t][node] = list of (theta, stage_cost, [(pz, child_index)])
-    options: list[list[list]] = []
+    shared_z: dict[Realization, Realization] = {}  # one object per outcome
+
+    def expand(t: int, pi: BeliefState, nxt: list[BeliefState]) -> list:
+        """(stage cost, ((z, pz, child index), ...)) per prescription of pi,
+        in canonical order; children are interned into ``nxt``."""
+        nonlocal candidates
+        rows = []
+        for theta in prescriptions(t, pi):
+            candidates += 1
+            if candidates > policy_cap:
+                raise EnumerationCapExceeded(
+                    "prescription candidates", candidates, policy_cap,
+                    exact=False)
+            c_now = expected_cost(s, pi, theta, d)
+            succ = ()
+            if t < T:
+                succ = tuple((shared_z.setdefault(z, z), pz,
+                              _belief_reps_intern(nxt, b2))
+                             for z, pz, b2 in belief_successors(s, d, pi, theta))
+            rows.append((c_now, succ))
+        return rows
+
+    options: list[list[list]] = []  # options[t][node][i]: see expand
     for t in range(T + 1):
-        doms = [prescription_domain(d, K, j, t) for j in s.agents()]
         nxt: list[BeliefState] = []
-        per_node: list[list] = []
-        for pi in levels[t]:
-            # off-support entries cannot affect cost or filtering
-            reached = [{st.info.restrict(dom) for st, _ in pi.support()}
-                       for dom in doms]
-            rows = []
-            for theta in support_prescriptions(s, K, t, doms, reached):
-                candidates += 1
-                if candidates > policy_cap:
-                    raise EnumerationCapExceeded(
-                        "prescription candidates", candidates, policy_cap,
-                        exact=False)
-                c_now = expected_cost(s, pi, theta, d)
-                succ = []
-                if t < T:
-                    for z, pz, b2 in belief_successors(s, d, pi, theta):
-                        succ.append((z, pz, _belief_reps_intern(nxt, b2)))
-                rows.append((theta, c_now, succ))
-            per_node.append(rows)
-        options.append(per_node)
+        options.append([expand(t, pi, nxt) for pi in levels[t]])
         if t < T:
             levels.append(nxt)
 
@@ -369,11 +394,10 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     for t in range(T, -1, -1):
         for n in range(len(levels[t])):
             best, best_i = math.inf, 0
-            for i, (_theta, c_now, succ) in enumerate(options[t][n]):
+            for i, (c_now, succ) in enumerate(options[t][n]):
                 v = c_now
-                if t < T:
-                    for _z, pz, child in succ:
-                        v += pz * values[t + 1][child]
+                for _z, pz, child in succ:
+                    v += pz * values[t + 1][child]
                 if v < best:
                     best, best_i = v, i
             values[t][n] = best
@@ -381,22 +405,25 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
 
     total = sum(pa * values[0][n] for _a, pa, n in root_nodes)
 
-    # read the greedy strategy off the reachable tree, then fill the rest
+    # read the greedy strategy off the reachable tree level by level, then
+    # fill the rest; each reached node's prescription is rebuilt once
     parts: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {
         (j, t): {} for j in s.agents() for t in s.times()}
-
-    def record(t: int, node: int, a: Realization):
-        theta, _c, succ = options[t][node][greedy[t][node]]
-        for j in s.agents():
-            parts[(j, t)][a] = theta.parts[j - 1]
-        if t < T:
+    frontier = [(a, n) for a, _pa, n in root_nodes]
+    for t in range(T + 1):
+        chosen: dict[int, tuple[PrescriptionFunction, ...]] = {}
+        later = []
+        for a, n in frontier:
+            if n not in chosen:
+                chosen[n] = next(itertools.islice(
+                    prescriptions(t, levels[t][n]), greedy[t][n], None)).parts
+            for j in s.agents():
+                parts[(j, t)][a] = chosen[n][j - 1]
             # the shared information of the successor class grows by the
             # new-information realization attached to the branch
-            for z, _pz, child in succ:
-                record(t + 1, child, a.merge(z))
-
-    for a, _pa, n in root_nodes:
-        record(0, n, a)
+            for z, _pz, child in options[t][n][greedy[t][n]][1]:
+                later.append((a.merge(z), child))
+        frontier = later
     return SolveResult(method="common-info", agent=None, value=total,
                        argmin=_total_strategy(s, d, K, parts, assign_cap),
                        candidates=candidates,

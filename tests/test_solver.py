@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from womctl import solver
 from womctl.errors import EnumerationCapExceeded
 from womctl.infostruct import enumerate_realizations, memory_labels
 from womctl.prescription import policy_to_strategy
@@ -15,6 +19,7 @@ from womctl.solver import (
     structural_search,
 )
 from womctl.topology import Topology, min_delay_matrix
+from womctl.verify import build_inputs
 
 ONE_SHOT = """
 [agents]
@@ -298,3 +303,61 @@ def test_candidate_count_is_exact_on_instance_a(inst_a):
     res = brute_force_optimal(s, d)
     # stage table sizes: 2 then 3 then 4 reachable memories per agent
     assert res.candidates == (2 ** (2 + 3 + 4)) ** 2
+
+
+def test_solvers_leave_no_cyclic_garbage(inst_a):
+    # a solve must free its option graph or search stack at return, not at
+    # the next collection; a warm-up solve absorbs one-off lazy set-up
+    _topo, s, d = inst_a
+    tiny_topo, tiny = loads_scenario(ONE_SHOT)
+    tiny_d = min_delay_matrix(tiny_topo)
+    runs = {"common-info": common_info_dp,
+            "brute": brute_force_optimal,
+            "structural-k1": lambda s, d: structural_search(s, d, 1)}
+    gc.disable()
+    try:
+        for run in runs.values():
+            run(tiny, tiny_d)
+        garbage = {}
+        for name, run in runs.items():
+            gc.collect()
+            run(s, d)
+            garbage[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == {name: 0 for name in runs}
+
+
+def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
+    # the DP keeps costs and successor indices per option; only the greedy
+    # prescriptions are rebuilt, and only their parts reach the strategy
+    _topo, s, d = inst_a
+    made: list[weakref.ref] = []
+    live_at_readout: list[int] = []
+    real_prescriptions = solver.support_prescriptions
+    real_total = solver._total_strategy
+
+    def tracked(*args):
+        for theta in real_prescriptions(*args):
+            made.append(weakref.ref(theta))
+            yield theta
+
+    def counted(*args):
+        gc.collect()
+        live_at_readout.append(sum(ref() is not None for ref in made))
+        return real_total(*args)
+
+    monkeypatch.setattr(solver, "support_prescriptions", tracked)
+    monkeypatch.setattr(solver, "_total_strategy", counted)
+    assert common_info_dp(s, d).candidates == 176
+    assert live_at_readout == [0]
+
+
+def test_common_info_argmin_attains_its_value_on_random_cases():
+    solved = 0
+    for seed in range(5):
+        for _name, _topo, d, s in build_inputs(None, 40, seed).scenario_cases:
+            dp = common_info_dp(s, d)
+            assert abs(evaluate_strategy(s, d, dp.argmin) - dp.value) <= 1e-9
+            solved += 1
+    assert solved == 15
