@@ -168,6 +168,12 @@ class Scenario:
             if key not in valid_keys:
                 raise WomctlError(f"cost{key} lies outside the declared domain")
         for key, y in self.observation.items():
+            k, t, x, v = key
+            if not (k in self.agents() and t in self.times()
+                    and x in self.state_space.values
+                    and v in self.v_spaces[k].values):
+                raise WomctlError(
+                    f"observation{key} lies outside the declared domain")
             if y not in self.obs_spaces[key[0]].values:
                 raise WomctlError(f"observation{key} -> {y!r} not in the agent's space")
         self.init_dist.validate("init")

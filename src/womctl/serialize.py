@@ -109,9 +109,13 @@ def belief_json(b: BeliefState) -> dict:
 def parse_prescriptions(s: Scenario, d: DelayMatrix, k: int,
                         payload: list) -> tuple[CompletePrescription, ...]:
     """Complete prescriptions from history-file JSON: one dict per time step,
-    mapping target agent to a {domain realization: action} table."""
+    mapping target agent to a {domain realization: action} table. A history
+    conditions at t = its step count, so it holds at most T steps."""
     if not isinstance(payload, list):
         raise WomctlError("history 'prescriptions' must be a list of steps")
+    if len(payload) > s.horizon:
+        raise WomctlError(f"history has {len(payload)} prescription steps; "
+                          f"the horizon allows at most {s.horizon}")
     agents = [str(j) for j in s.agents()]
     out = []
     for t, entry in enumerate(payload):

@@ -154,23 +154,22 @@ def information_paths(t: Topology, k: int, d: DelayMatrix) -> dict[int, InfoPath
     revisits no node). Each target keeps the path with the least (arrival
     times, nodes) key; see ``information_path`` for the tie-break.
     """
-    out: dict[int, list[Link]] = {a: sorted(t.out_links(a)) for a in t.agents()}
+    out: dict[int, list[Link]] = {a: t.out_links(a) for a in t.agents()}
     best: dict[int, tuple] = {}
-
-    def walk(node: int, path: tuple[int, ...], arrivals: tuple[int, ...]) -> None:
+    stack: list[tuple] = [((), (k,))]  # (arrival times, nodes) of a prefix
+    while stack:
+        arrivals, path = stack.pop()
         so_far = arrivals[-1] if arrivals else 0
-        for l in out[node]:
+        for l in out[path[-1]]:
             at = so_far + l.delay
             if at != d.delay(k, l.dst):
                 continue
             key = (arrivals + (at,), path + (l.dst,))
             if l.dst not in best or key < best[l.dst]:
                 best[l.dst] = key
-            walk(l.dst, key[1], key[0])
-
-    walk(k, (k,), ())
-    return {j: InfoPath(nodes=nodes, total_delay=d.delay(k, j))
-            for j, (_arrivals, nodes) in best.items()}
+            stack.append(key)
+    return {j: InfoPath(nodes=best[j][1], total_delay=d.delay(k, j))
+            for j in t.agents() if j in best}
 
 
 def information_path(t: Topology, k: int, j: int,

@@ -79,29 +79,22 @@ EQ_TOL = 1e-12
 # -- independent oracles --------------------------------------------------------
 
 def min_delay_by_paths(t: Topology) -> dict[tuple[int, int], int]:
-    """All-pairs minimum delay by exhaustive simple-path enumeration."""
+    """All-pairs minimum delay by exhaustive simple-path enumeration: every
+    simple path from a source is a prefix met by one walk from it."""
     out = {}
     adj: dict[int, list] = {a: [] for a in t.agents()}
     for l in t.links:
         adj[l.src].append((l.dst, l.delay))
     for a in t.agents():
-        for b in t.agents():
-            if a == b:
-                out[(a, b)] = 0
-                continue
-            best = [None]
-
-            def walk(node, seen, total):
-                if node == b:
-                    if best[0] is None or total < best[0]:
-                        best[0] = total
-                    return
-                for nxt, w in adj[node]:
-                    if nxt not in seen:
-                        walk(nxt, seen | {nxt}, total + w)
-
-            walk(a, {a}, 0)
-            out[(a, b)] = best[0]
+        best = {a: 0}
+        stack = [(a, {a}, 0)]  # (last node, nodes on the path, total delay)
+        while stack:
+            node, seen, total = stack.pop()
+            for nxt, w in adj[node]:
+                if nxt not in seen:
+                    best[nxt] = min(best.get(nxt, total + w), total + w)
+                    stack.append((nxt, seen | {nxt}, total + w))
+        out.update(((a, b), best.get(b)) for b in t.agents())
     return out
 
 
@@ -172,38 +165,42 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     Nodes at time t are the classes of ``conditional_beliefs`` for their
     prescription history; edges branch over the prescriptions that differ on
     the node's support and then over the classes that extend the node's
-    shared realization, labelled by the new-information outcome.
+    shared realization, labelled by the new-information outcome. The node
+    list is in pre-order: each node precedes its subtree, and subtrees follow
+    in edge order.
     """
-    T = s.horizon
+    roots = [HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
+                         weight=pa0, belief=pi0)
+             for a0, pa0, pi0 in conditional_beliefs(s, d, k, (), assign_cap)]
     all_nodes: list[HistoryNode] = []
-
-    def make_node(t, a, thetas, pa, pi) -> HistoryNode:
-        node = HistoryNode(agent=k, time=t, accessible=a, thetas=thetas,
-                           weight=pa, belief=pi)
+    stack = roots[::-1]
+    while stack:
+        node = stack.pop()
         all_nodes.append(node)
         if len(all_nodes) > node_cap:
             raise EnumerationCapExceeded(
                 "conditioning histories", len(all_nodes), node_cap,
                 exact=False)
+        t, a = node.time, node.accessible
         # entries off the belief's support cannot change the conditioning
         doms = [prescription_domain(d, k, j, t) for j in s.agents()]
         node.theta_options = list(support_prescriptions(s, k, t, doms, [
-            {st.info.restrict(dom) for st in pi.probs} for dom in doms]))
-        if t == T:
-            return node
+            {st.info.restrict(dom) for st in node.belief.probs}
+            for dom in doms]))
+        if t == s.horizon:
+            continue
         z_labels = new_info_labels(d, k, t + 1)
         for theta in node.theta_options:
-            thetas2 = thetas + (theta,)
+            thetas2 = node.thetas + (theta,)
             node.children.append([
                 (a2.restrict(z_labels), pa2,
-                 make_node(t + 1, a2, thetas2, pa2, pi2))
+                 HistoryNode(agent=k, time=t + 1, accessible=a2,
+                             thetas=thetas2, weight=pa2, belief=pi2))
                 for a2, pa2, pi2 in conditional_beliefs(
                     s, d, k, thetas2, assign_cap)
                 if a2.restrict(a.domain) == a])
-        return node
-
-    roots = [make_node(0, a0, (), pa0, pi0)
-             for a0, pa0, pi0 in conditional_beliefs(s, d, k, (), assign_cap)]
+        stack.extend(child for edges in reversed(node.children)
+                     for _z, _w, child in reversed(edges))
     return roots, all_nodes
 
 
@@ -217,12 +214,29 @@ def theta_fingerprint(theta: CompletePrescription) -> tuple:
 
 @dataclass
 class CheckResult:
+    """Running instance count and worst deviation of one check; the first
+    instance that takes the worst past ``tol`` ends the check and is its
+    counterexample. A boolean deviation (the instance failed) counts as 1.0."""
+
     name: str
     description: str
-    instances: int
-    passed: bool
-    worst_deviation: float
+    tol: float = BELIEF_TOL
+    instances: int = 0
+    worst_deviation: float = 0.0
     counterexample: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    def see(self, deviation: float | bool, witness: dict | None) -> None:
+        if self.passed:
+            self.instances += 1
+            if isinstance(deviation, bool):
+                deviation = float(deviation)
+            self.worst_deviation = max(self.worst_deviation, deviation)
+            if self.worst_deviation > self.tol:
+                self.counterexample = witness
 
 
 @dataclass
@@ -274,37 +288,6 @@ def build_inputs(scenario_path: str | None, random_n: int, seed: int,
                         policy_cap=policy_cap, assign_cap=assign_cap)
 
 
-@dataclass
-class _Tally:
-    """Running instance count and worst deviation of one check; the first
-    instance that takes the worst past ``tol`` ends the check and is its
-    counterexample. A boolean deviation (the instance failed) counts as 1.0."""
-
-    name: str
-    description: str
-    tol: float = BELIEF_TOL
-    instances: int = 0
-    worst: float = 0.0
-    counterexample: dict | None = None
-
-    @property
-    def open(self) -> bool:
-        return self.counterexample is None
-
-    def see(self, deviation: float | bool, witness: dict | None) -> None:
-        if self.open:
-            self.instances += 1
-            if isinstance(deviation, bool):
-                deviation = float(deviation)
-            self.worst = max(self.worst, deviation)
-            if self.worst > self.tol:
-                self.counterexample = witness
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.description, self.instances,
-                           self.open, self.worst, self.counterexample)
-
-
 def _check(name: str, description: str, tol: float = BELIEF_TOL):
     """Turn a generator that yields one (deviation, witness) per instance into
     a ``VerifyInputs -> CheckResult`` check; the generator is not resumed
@@ -312,12 +295,12 @@ def _check(name: str, description: str, tol: float = BELIEF_TOL):
     def wrap(instances):
         @functools.wraps(instances)
         def check(inp: VerifyInputs) -> CheckResult:
-            tally = _Tally(name, description, tol)
+            result = CheckResult(name, description, tol)
             for deviation, witness in instances(inp):
-                tally.see(deviation, witness)
-                if not tally.open:
+                result.see(deviation, witness)
+                if not result.passed:
                     break
-            return tally.result()
+            return result
         return check
     return wrap
 
@@ -333,21 +316,20 @@ def _first_over(parts, tol: float = BELIEF_TOL):
     return worst, None
 
 
-def _shared(inp: VerifyInputs, name: str, run) -> CheckResult:
-    """The result of check ``name``, which ``run`` computes together with the
-    other checks of its pass; each pass runs once per input bundle."""
-    if name not in inp.shared:
-        inp.shared.update((r.name, r) for r in run(inp))
-    return inp.shared[name]
-
-
-def _fed_by(run):
-    """Tag a check whose result the shared pass ``run`` computes, so that
-    ``run_verify --jobs`` sends all checks of one pass to one worker."""
-    def tag(check):
+def _from_pass(run, name: str):
+    """Turn a stub into check ``name``, whose result the shared pass ``run``
+    computes together with the other checks of its pass. The pass runs once
+    per input bundle, and the ``shared_pass`` tag makes ``run_verify --jobs``
+    send all checks of one pass to one worker."""
+    def wrap(stub):
+        @functools.wraps(stub)
+        def check(inp: VerifyInputs) -> CheckResult:
+            if name not in inp.shared:
+                inp.shared.update((r.name, r) for r in run(inp))
+            return inp.shared[name]
         check.shared_pass = run
         return check
-    return tag
+    return wrap
 
 
 @_check("delay_diagonal_zero",
@@ -598,51 +580,36 @@ def check_transfer_composition(inp: VerifyInputs):
                        {"case": name, "via": j, "to": i})
 
 
-def _filter_walk(s: Scenario, d: DelayMatrix, k: int, assign_cap: int,
-                 policy_cap: int):
-    """Pre-order walk over agent k's history tree.
-
-    Yields (node, chained belief, chained beliefs of the children per
-    prescription option). A root's chained belief is its direct conditioning
-    on the empty prescription history; every node carries its own direct
-    conditioning as ``node.belief``.
-    """
-    roots, _nodes = history_tree(s, d, k, assign_cap, policy_cap)
-
-    def walk(node, pi):
-        kids = [[belief_update(s, d, pi, theta, z) for z, _w, _child in edges]
-                for theta, edges in zip(node.theta_options, node.children)]
-        yield node, pi, kids
-        for edges, beliefs in zip(node.children, kids):
-            for (_z, _w, child), nxt in zip(edges, beliefs):
-                yield from walk(child, nxt)
-
-    for root in roots:
-        yield from walk(root, root.belief)
-
-
 def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
-    """The four filter checks, fed by one walk per (case, agent)."""
-    chain = _Tally("filter_chain_matches_direct_conditioning",
-                   "chained filter updates equal direct conditioning at every "
-                   "history")
-    independent = _Tally("filter_output_strategy_independent",
-                         "filter output depends only on (belief, prescription, "
-                         "new info)")
-    markov = _Tally("belief_evolution_markov",
-                    "histories with equal (belief, prescription) induce equal "
-                    "successor laws")
-    normalized = _Tally("belief_normalization",
-                        "every computed belief sums to one")
+    """The four filter checks, fed by one pre-order walk over the history
+    tree of each (case, agent). A root's chained belief is its direct
+    conditioning on the empty prescription history; every other node's is
+    the filter update of its parent's, and every node carries its own direct
+    conditioning as ``node.belief``."""
+    chain = CheckResult("filter_chain_matches_direct_conditioning",
+                        "chained filter updates equal direct conditioning at "
+                        "every history")
+    independent = CheckResult("filter_output_strategy_independent",
+                              "filter output depends only on (belief, "
+                              "prescription, new info)")
+    markov = CheckResult("belief_evolution_markov",
+                         "histories with equal (belief, prescription) induce "
+                         "equal successor laws")
+    normalized = CheckResult("belief_normalization",
+                             "every computed belief sums to one")
     for name, _topo, d, s in inp.scenario_cases:
         for k in s.agents():
+            roots, nodes = history_tree(s, d, k, inp.assign_cap,
+                                        inp.policy_cap)
+            # chained beliefs of the nodes not visited yet, by node id
+            chained = {id(root): root.belief for root in roots}
             seen: dict[tuple, BeliefState] = {}
             # the independence and Markov checks intern into their own lists
             reps: list[BeliefState] = []
             markov_reps: list[BeliefState] = []
             groups: dict[tuple, list] = {}
-            for node, pi, kids in _filter_walk(
-                    s, d, k, inp.assign_cap, inp.policy_cap):
+            for node in nodes:
+                pi = chained.pop(id(node))
                 at = {"case": name, "agent": k, "t": node.time}
                 chain.see(belief_linf(pi, node.belief), at)
                 normalized.see(max(abs(pi.total() - 1.0),
@@ -650,13 +617,14 @@ def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
                 rid = _belief_reps_intern(reps, pi)
                 if node.time < s.horizon:
                     markov_rid = _belief_reps_intern(markov_reps, pi)
-                for theta, edges, beliefs in zip(node.theta_options,
-                                                 node.children, kids):
+                for theta, edges in zip(node.theta_options, node.children):
                     tkey = theta_fingerprint(theta)
                     # successor law from the history itself: conditional
                     # probability of each outcome times the successor class
                     law = {}
-                    for (z, w, _child), nxt in zip(edges, beliefs):
+                    for z, w, child in edges:
+                        nxt = chained[id(child)] = belief_update(
+                            s, d, pi, theta, z)
                         first = seen.setdefault(
                             (node.time, rid, tkey, z.items), nxt)
                         independent.see(0.0 if first is nxt
@@ -670,28 +638,27 @@ def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
                                 for law in laws for r in set(base) | set(law)),
                                default=0.0),
                            {"case": name, "agent": k, "t": t})
-    return [chain.result(), independent.result(), markov.result(),
-            normalized.result()]
+    return [chain, independent, markov, normalized]
 
 
-@_fed_by(_filter_pass)
+@_from_pass(_filter_pass, "filter_chain_matches_direct_conditioning")
 def check_filter_chain_vs_scratch(inp: VerifyInputs) -> CheckResult:
-    return _shared(inp, "filter_chain_matches_direct_conditioning", _filter_pass)
+    """Chained filter updates against direct conditioning."""
 
 
-@_fed_by(_filter_pass)
+@_from_pass(_filter_pass, "filter_output_strategy_independent")
 def check_filter_policy_independence(inp: VerifyInputs) -> CheckResult:
-    return _shared(inp, "filter_output_strategy_independent", _filter_pass)
+    """One filter output per (belief, prescription, new information)."""
 
 
-@_fed_by(_filter_pass)
+@_from_pass(_filter_pass, "belief_evolution_markov")
 def check_markov_property(inp: VerifyInputs) -> CheckResult:
-    return _shared(inp, "belief_evolution_markov", _filter_pass)
+    """Equal (belief, prescription) pairs, equal successor laws."""
 
 
-@_fed_by(_filter_pass)
+@_from_pass(_filter_pass, "belief_normalization")
 def check_belief_normalization(inp: VerifyInputs) -> CheckResult:
-    return _shared(inp, "belief_normalization", _filter_pass)
+    """Every chained and direct belief sums to one."""
 
 
 @_check("sufficient_state_step_deterministic",
@@ -769,15 +736,15 @@ def _capped(solve, *args):
 def _solver_pass(inp: VerifyInputs) -> list[CheckResult]:
     """The three solver checks, fed by one brute-force and one common-info
     solve per case; a capped solve skips the checks that need it."""
-    dp_brute = _Tally("dp_matches_brute_force",
-                      "belief-space backward induction attains the exhaustive "
-                      "optimum")
-    greedy = _Tally("dp_greedy_strategy_reproduces_value",
-                    "evaluating the greedy strategy reproduces the backward "
-                    "value")
-    structural = _Tally("structural_form_matches_brute_force",
-                        "structural-form search attains the exhaustive optimum "
-                        "for every agent")
+    dp_brute = CheckResult("dp_matches_brute_force",
+                           "belief-space backward induction attains the "
+                           "exhaustive optimum")
+    greedy = CheckResult("dp_greedy_strategy_reproduces_value",
+                         "evaluating the greedy strategy reproduces the "
+                         "backward value")
+    structural = CheckResult("structural_form_matches_brute_force",
+                             "structural-form search attains the exhaustive "
+                             "optimum for every agent")
     caps = (inp.policy_cap, inp.assign_cap)
     for name, _topo, d, s in inp.scenario_cases:
         br = _capped(brute_force_optimal, s, d, *caps)
@@ -785,11 +752,11 @@ def _solver_pass(inp: VerifyInputs) -> list[CheckResult]:
         if br is not None and dp is not None:
             dp_brute.see(abs(br.value - dp.value),
                          {"case": name, "brute": br.value, "dp": dp.value})
-        if dp is not None and greedy.open:
+        if dp is not None and greedy.passed:
             got = evaluate_strategy(s, d, dp.argmin, inp.assign_cap)
             greedy.see(abs(got - dp.value),
                        {"case": name, "value": dp.value, "evaluated": got})
-        if br is None or not structural.open:
+        if br is None or not structural.passed:
             continue
         for k in s.agents():
             st = _capped(structural_search, s, d, k, *caps)
@@ -797,22 +764,22 @@ def _solver_pass(inp: VerifyInputs) -> list[CheckResult]:
                 structural.see(abs(st.value - br.value),
                                {"case": name, "agent": k,
                                 "brute": br.value, "structural": st.value})
-    return [dp_brute.result(), greedy.result(), structural.result()]
+    return [dp_brute, greedy, structural]
 
 
-@_fed_by(_solver_pass)
+@_from_pass(_solver_pass, "dp_matches_brute_force")
 def check_dp_vs_brute(inp: VerifyInputs) -> CheckResult:
-    return _shared(inp, "dp_matches_brute_force", _solver_pass)
+    """Common-information DP value against the brute-force optimum."""
 
 
-@_fed_by(_solver_pass)
+@_from_pass(_solver_pass, "dp_greedy_strategy_reproduces_value")
 def check_dp_greedy_consistency(inp: VerifyInputs) -> CheckResult:
-    return _shared(inp, "dp_greedy_strategy_reproduces_value", _solver_pass)
+    """The DP's greedy strategy evaluated against the DP value."""
 
 
-@_fed_by(_solver_pass)
+@_from_pass(_solver_pass, "structural_form_matches_brute_force")
 def check_structural_vs_brute(inp: VerifyInputs) -> CheckResult:
-    return _shared(inp, "structural_form_matches_brute_force", _solver_pass)
+    """Structural-form search against the brute-force optimum."""
 
 
 @_check("delay_reduction_never_increases_optimal_cost",

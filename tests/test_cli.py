@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
-from womctl.fixtures import fixture_path
+from womctl.fixtures import fixture_path, instance_a
+from womctl.infostruct import Kind, accessible_labels, enumerate_realizations
+from womctl.prescription import prescription_domain
+from womctl.topology import min_delay_matrix
 
 INSTANCE_A = fixture_path("instance_a.wom")
 
@@ -267,6 +270,53 @@ def test_belief_command_rejects_an_ambiguous_history_step(tmp_path, step, messag
     r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
                "--history", str(history))
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
+def _play_u0_history(steps: int) -> str:
+    """A history file for agent 2 on instance_a: every prescription plays u0,
+    and in the shared realization every agent saw `a` and played u0."""
+    topo, s = instance_a()
+    d = min_delay_matrix(topo)
+    accessible = ",".join(
+        f"{l}={'a' if l.kind == Kind.OBS else 'u0'}"
+        for l in accessible_labels(d, 2, steps))
+    prescriptions = [
+        {str(j): {str(r): "u0" for r in enumerate_realizations(
+            s, prescription_domain(d, 2, j, t))} for j in s.agents()}
+        for t in range(steps)]
+    return json.dumps({"accessible": accessible,
+                       "prescriptions": prescriptions})
+
+
+def test_belief_command_takes_at_most_horizon_steps(tmp_path):
+    history = tmp_path / "history.json"
+    history.write_text(_play_u0_history(2), encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["time"] == 2
+    history.write_text(_play_u0_history(3), encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "error: history has 3 prescription steps; the horizon allows "
+        "at most 2\n")
+
+
+@pytest.mark.parametrize("row, key", [
+    ("h 2 t=* zz v9 a", "(2, 0, 'zz', 'v9')"),
+    ("h 2 t=* a v9 a", "(2, 0, 'a', 'v9')"),
+], ids=["undeclared-state", "undeclared-sensor-noise"])
+def test_validate_rejects_an_observation_row_outside_the_domain(
+        tmp_path, row, key):
+    with open(INSTANCE_A, encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "bad.wom"
+    bad.write_text(text.replace("h 2 t=* b v0 b\n", f"h 2 t=* b v0 b\n{row}\n"),
+                   encoding="utf-8")
+    r = womctl("validate", "--scenario", str(bad))
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", f"error: observation{key} lies outside the declared domain\n")
 
 
 @pytest.mark.parametrize("args, env_cap, message", [

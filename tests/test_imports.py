@@ -150,3 +150,40 @@ def test_no_module_imports_numpy():
     found = {p.name: lines for p in sorted(PACKAGE.glob("*.py"))
              if (lines := _numpy_imports(p.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def _self_referring_closures(source: str) -> list[str]:
+    """Nested functions that load their own name, as "outer.inner" below each
+    module-level function or method ("Class.method.inner")."""
+    tops = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            tops.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            tops += [(f"{node.name}.{m.name}", m) for m in node.body
+                     if isinstance(m, ast.FunctionDef)]
+    return [f"{where}.{fn.name}" for where, top in tops
+            for fn in ast.walk(top)
+            if isinstance(fn, ast.FunctionDef) and fn is not top
+            and any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    and n.id == fn.name for n in ast.walk(fn))]
+
+
+def test_self_referring_closure_detector_flags_a_recursive_walk():
+    module = ("def outer(n):\n"
+              "    def walk(i):\n        return walk(i - 1) if i else 0\n"
+              "    def leaf(i):\n        return i\n"
+              "    return walk(n) + leaf(n)\n"
+              "def top(i):\n    return top(i - 1) if i else 0\n"
+              "class C:\n    def m(self):\n"
+              "        def again():\n            return again\n"
+              "        return again\n")
+    assert _self_referring_closures(module) == ["outer.walk", "C.m.again"]
+
+
+def test_no_nested_function_refers_to_itself():
+    # such a closure holds itself through its own cell: a reference cycle
+    # that keeps all it closes over alive until the cycle collector runs
+    found = [f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+             for name in _self_referring_closures(p.read_text(encoding="utf-8"))]
+    assert found == []

@@ -7,6 +7,7 @@ with their usual instance counts.
 """
 
 import dataclasses
+import gc
 import pickle
 from collections import Counter
 
@@ -113,6 +114,20 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
     verify._filter_pass(verify.build_inputs(None, 1, 0))
     assert (calls["enumerate_primitives"], calls["conditional_beliefs"]) == (
         0, 57)
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    # each case's history tree and walk state must be freed at return, not at
+    # the next collection; a warm-up run absorbs one-off lazy set-up
+    verify.run_verify(None, 5, 3)
+    gc.disable()
+    try:
+        gc.collect()
+        verify.run_verify(None, 5, 3)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def _tree_cases():
