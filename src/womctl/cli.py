@@ -144,6 +144,10 @@ def cmd_belief(args) -> int:
     if not isinstance(payload, dict):
         raise WomctlError("history file must hold a JSON object with "
                           "'accessible' and 'prescriptions'")
+    unknown = sorted(set(payload) - {"accessible", "prescriptions"})
+    if unknown:
+        raise WomctlError(f"history file has unknown key {unknown[0]!r}; "
+                          "expected 'accessible' and 'prescriptions'")
     thetas = parse_prescriptions(s, d, k, payload.get("prescriptions", []))
     accessible = payload.get("accessible", "-")
     if not isinstance(accessible, str):

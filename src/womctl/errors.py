@@ -6,6 +6,18 @@ from __future__ import annotations
 class WomctlError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # rebuilt from the message and attributes, not through a subclass's
+        # __init__, so an error raised in a ``verify --jobs`` worker process
+        # reaches the parent intact
+        return _rebuilt, (type(self), self.args, self.__dict__)
+
+
+def _rebuilt(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
+
 
 # -- topology -----------------------------------------------------------------
 

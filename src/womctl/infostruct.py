@@ -168,6 +168,13 @@ def accessible_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:
     return _shared_set(labels)
 
 
+def clear_label_caches() -> None:
+    """Forget the label sets cached per delay matrix, and the shared sets."""
+    memory_labels.cache_clear()
+    accessible_labels.cache_clear()
+    _SETS.clear()
+
+
 def new_info_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:
     """Labels entering agent k's accessible set at time t (all of it at t=0)."""
     if t == 0:

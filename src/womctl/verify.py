@@ -3,15 +3,18 @@
 Every structural claim the package relies on is checked here against an
 independent route: delay matrices against exhaustive path enumeration,
 memories against a time-stepped flood of transmissions, filters against
-direct conditioning, solver values against each other. Checks are pure
-functions of a seeded input bundle, so reports reproduce byte-for-byte.
+direct conditioning, solver values against each other. A run draws its
+seeded cases one at a time and runs every check on each, so reports
+reproduce byte-for-byte.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .belief import (
     BELIEF_TOL,
@@ -31,6 +34,7 @@ from .infostruct import (
     Realization,
     accessible_labels,
     act as act_label,
+    clear_label_caches,
     inaccessible_labels,
     memory_labels,
     new_info_labels,
@@ -238,69 +242,105 @@ class CheckResult:
             if self.worst_deviation > self.tol:
                 self.counterexample = witness
 
+    def merge(self, later: "CheckResult") -> None:
+        """Add the tally of the cases after this one's, as ``see`` would have
+        seen their instances: nothing once this tally has failed."""
+        if self.passed:
+            self.instances += later.instances
+            self.worst_deviation = max(self.worst_deviation,
+                                       later.worst_deviation)
+            self.counterexample = later.counterexample
+
 
 @dataclass
-class VerifyInputs:
+class Case:
+    """One case of a verify run, with the settings its checks read. Each part
+    feeds the checks of its kind: a random index gives a graph and an info
+    part, a scenario file all three parts at once, and one case of every run
+    holds the delay-reduction pairs."""
+
     seed: int
-    graph_cases: list[tuple[str, Topology, DelayMatrix]]
+    policy_cap: int
+    assign_cap: int
+    graph: tuple[str, Topology, DelayMatrix] | None = None
     # (name, topology, delays, horizon)
-    info_cases: list[tuple[str, Topology, DelayMatrix, int]]
-    # the model checks, the filter checks and the solver checks run on these
-    scenario_cases: list[tuple[str, Topology, DelayMatrix, Scenario]]
-    policy_cap: int = DEFAULT_POLICY_CAP
-    assign_cap: int = DEFAULT_ENUM_CAP
-    # results of the checks that share one pass over the cases, by name
-    shared: dict[str, CheckResult] = field(default_factory=dict, init=False,
-                                           repr=False)
+    info: tuple[str, Topology, DelayMatrix, int] | None = None
+    # (position among the run's scenario cases, name, topology, delays,
+    # scenario); the model, filter and solver checks run on these
+    scenario: tuple[int, str, Topology, DelayMatrix, Scenario] | None = None
+    pairs: bool = False
+
+
+def _case_keys(scenario_path: str | None, random_n: int
+               ) -> list[tuple[str, int]]:
+    """The cases of a run in order, as (source, index) pairs."""
+    keys = [("pairs", 0)]
+    if scenario_path is not None:
+        keys.append(("file", 0))
+    keys += [("random", i) for i in range(random_n)]
+    if random_n > 0:
+        keys += [("scn", i) for i in range(3)]
+    return keys
 
 
 def build_inputs(scenario_path: str | None, random_n: int, seed: int,
                  policy_cap: int = DEFAULT_POLICY_CAP,
-                 assign_cap: int = DEFAULT_ENUM_CAP) -> VerifyInputs:
-    graph_cases, info_cases, scenario_cases = [], [], []
-    if scenario_path is not None:
-        topo, s = load_scenario(scenario_path)
-        d = min_delay_matrix(topo)
-        graph_cases.append(("scenario", topo, d))
-        info_cases.append(("scenario", topo, d, s.horizon))
-        scenario_cases.append(("scenario", topo, d, s))
-    for i in range(random_n):
-        topo = random_topology(sub_rng(seed, 1, i), max_agents=6)
-        graph_cases.append((f"graph-{i}", topo, min_delay_matrix(topo)))
-        rng = sub_rng(seed, 2, i)
-        topo = random_topology(rng, max_agents=5)
-        info_cases.append((f"info-{i}", topo, min_delay_matrix(topo),
-                           rng.integers(0, 7)))
-    if random_n > 0:
-        for i in range(2):
+                 assign_cap: int = DEFAULT_ENUM_CAP,
+                 lo: int = 0, hi: int | None = None) -> Iterator[Case]:
+    """Cases ``lo`` to ``hi - 1`` of a run, each drawn when it is reached:
+    the delay-reduction pairs, the scenario file, graph and info case i for
+    every random index i from their own streams, then the random scenario
+    cases."""
+    first_scn = 0 if scenario_path is None else 1
+    for source, i in _case_keys(scenario_path, random_n)[lo:hi]:
+        parts: dict = {}
+        if source == "pairs":
+            parts["pairs"] = True
+        elif source == "file":
+            topo, s = load_scenario(scenario_path)
+            d = min_delay_matrix(topo)
+            parts["graph"] = ("scenario", topo, d)
+            parts["info"] = ("scenario", topo, d, s.horizon)
+            parts["scenario"] = (0, "scenario", topo, d, s)
+        elif source == "random":
+            topo = random_topology(sub_rng(seed, 1, i), max_agents=6)
+            parts["graph"] = (f"graph-{i}", topo, min_delay_matrix(topo))
+            rng = sub_rng(seed, 2, i)
+            topo = random_topology(rng, max_agents=5)
+            parts["info"] = (f"info-{i}", topo, min_delay_matrix(topo),
+                             rng.integers(0, 7))
+        elif i < 2:
             rng = sub_rng(seed, 3, i)
             topo = random_topology(rng, max_agents=2, min_agents=2)
             s = random_scenario(rng, topo, horizon=1)
-            d = min_delay_matrix(topo)
-            scenario_cases.append((f"scn-{i}", topo, d, s))
-        rng = sub_rng(seed, 3, 2)
-        topo = Topology.of(1, [])
-        s = random_scenario(rng, topo, horizon=1, noisy_obs=True)
-        d = min_delay_matrix(topo)
-        scenario_cases.append(("scn-single", topo, d, s))
-    return VerifyInputs(seed=seed, graph_cases=graph_cases,
-                        info_cases=info_cases, scenario_cases=scenario_cases,
-                        policy_cap=policy_cap, assign_cap=assign_cap)
+            parts["scenario"] = (first_scn + i, f"scn-{i}", topo,
+                                 min_delay_matrix(topo), s)
+        else:
+            rng = sub_rng(seed, 3, 2)
+            topo = Topology.of(1, [])
+            s = random_scenario(rng, topo, horizon=1, noisy_obs=True)
+            parts["scenario"] = (first_scn + 2, "scn-single", topo,
+                                 min_delay_matrix(topo), s)
+        yield Case(seed, policy_cap, assign_cap, **parts)
 
 
-def _check(name: str, description: str, tol: float = BELIEF_TOL):
-    """Turn a generator that yields one (deviation, witness) per instance into
-    a ``VerifyInputs -> CheckResult`` check; the generator is not resumed
-    after the first failing instance."""
+def _check(kind: str, name: str, description: str, tol: float = BELIEF_TOL):
+    """Turn a generator that yields one (deviation, witness) per instance of
+    a case into check ``name`` on the cases with a ``kind`` part. A check
+    takes the case and the run's tallies by name, and adds the case's
+    instances to its own tally; the generator is not resumed after the first
+    failing instance, nor started once the check has failed."""
     def wrap(instances):
         @functools.wraps(instances)
-        def check(inp: VerifyInputs) -> CheckResult:
-            result = CheckResult(name, description, tol)
-            for deviation, witness in instances(inp):
-                result.see(deviation, witness)
-                if not result.passed:
-                    break
+        def check(case: Case, results) -> CheckResult:
+            result = results[name]
+            if result.passed:
+                for deviation, witness in instances(case):
+                    result.see(deviation, witness)
+                    if not result.passed:
+                        break
             return result
+        check.kind, check.spec = kind, (name, description, tol)
         return check
     return wrap
 
@@ -316,48 +356,56 @@ def _first_over(parts, tol: float = BELIEF_TOL):
     return worst, None
 
 
-def _from_pass(run, name: str):
-    """Turn a stub into check ``name``, whose result the shared pass ``run``
-    computes together with the other checks of its pass. The pass runs once
-    per input bundle, and the ``shared_pass`` tag makes ``run_verify --jobs``
-    send all checks of one pass to one worker."""
+# pass -> names of the checks it feeds, in the order it takes their tallies
+_PASS_CHECKS: dict = {}
+
+
+def _from_pass(run, name: str, description: str, tol: float = BELIEF_TOL):
+    """Turn a stub into check ``name`` on the scenario cases, whose instances
+    the pass ``run(case, *tallies)`` sees together with the other checks it
+    feeds. The first of these checks runs the pass on each case, while any
+    of them is still passing; the others only return their tally."""
+    names = _PASS_CHECKS.setdefault(run, [])
+    names.append(name)
+
     def wrap(stub):
         @functools.wraps(stub)
-        def check(inp: VerifyInputs) -> CheckResult:
-            if name not in inp.shared:
-                inp.shared.update((r.name, r) for r in run(inp))
-            return inp.shared[name]
-        check.shared_pass = run
+        def check(case: Case, results) -> CheckResult:
+            tallies = [results[n] for n in names]
+            if name == names[0] and any(r.passed for r in tallies):
+                run(case, *tallies)
+            return results[name]
+        check.kind, check.spec = "scenario", (name, description, tol)
         return check
     return wrap
 
 
-@_check("delay_diagonal_zero",
+@_check("graph", "delay_diagonal_zero",
         "minimum delay of every agent to itself is zero")
-def check_delay_diagonal_zero(inp: VerifyInputs):
-    for name, topo, d in inp.graph_cases:
-        yield _first_over((d.delay(a, a) != 0, {"case": name, "agent": a})
-                          for a in topo.agents())
+def check_delay_diagonal_zero(case: Case):
+    name, topo, d = case.graph
+    yield _first_over((d.delay(a, a) != 0, {"case": name, "agent": a})
+                      for a in topo.agents())
 
 
-@_check("delay_triangle_inequality",
+@_check("graph", "delay_triangle_inequality",
         "minimum delays satisfy the triangle inequality")
-def check_delay_triangle(inp: VerifyInputs):
-    for name, topo, d in inp.graph_cases:
-        yield _first_over(
-            (d.delay(i, k) > d.delay(i, j) + d.delay(j, k),
-             {"case": name, "triple": [i, j, k]})
-            for i, j, k in itertools.product(topo.agents(), repeat=3))
+def check_delay_triangle(case: Case):
+    name, topo, d = case.graph
+    yield _first_over(
+        (d.delay(i, k) > d.delay(i, j) + d.delay(j, k),
+         {"case": name, "triple": [i, j, k]})
+        for i, j, k in itertools.product(topo.agents(), repeat=3))
 
 
-@_check("delay_matrix_matches_path_enumeration",
+@_check("graph", "delay_matrix_matches_path_enumeration",
         "delay matrix equals exhaustive simple-path enumeration")
-def check_delay_vs_path_enumeration(inp: VerifyInputs):
-    for name, topo, d in inp.graph_cases:
-        yield _first_over(
-            (abs(d.delay(a, b) - v), {"case": name, "pair": [a, b],
-                                      "matrix": d.delay(a, b), "oracle": v})
-            for (a, b), v in min_delay_by_paths(topo).items())
+def check_delay_vs_path_enumeration(case: Case):
+    name, topo, d = case.graph
+    yield _first_over(
+        (abs(d.delay(a, b) - v), {"case": name, "pair": [a, b],
+                                  "matrix": d.delay(a, b), "oracle": v})
+        for (a, b), v in min_delay_by_paths(topo).items())
 
 
 def _relay_path_mismatches(name: str, topo: Topology, d: DelayMatrix):
@@ -376,20 +424,19 @@ def _relay_path_mismatches(name: str, topo: Topology, d: DelayMatrix):
                  "path": None if nodes is None else list(nodes)})
 
 
-@_check("information_path_delay_matches_matrix",
+@_check("graph", "information_path_delay_matches_matrix",
         "relay path delay equals the delay-matrix entry for every pair")
-def check_information_path_delay(inp: VerifyInputs):
-    for name, topo, d in inp.graph_cases:
-        yield _first_over(_relay_path_mismatches(name, topo, d))
+def check_information_path_delay(case: Case):
+    yield _first_over(_relay_path_mismatches(*case.graph))
 
 
-@_check("delay_matrix_finite",
+@_check("graph", "delay_matrix_finite",
         "strong connectivity yields finite integer delays everywhere")
-def check_delay_finite(inp: VerifyInputs):
-    for name, _topo, d in inp.graph_cases:
-        yield _first_over((not isinstance(x, int) or x < 0,
-                           {"case": name, "entry": repr(x)})
-                          for row in d.rows for x in row)
+def check_delay_finite(case: Case):
+    name, _topo, d = case.graph
+    yield _first_over((not isinstance(x, int) or x < 0,
+                       {"case": name, "entry": repr(x)})
+                      for row in d.rows for x in row)
 
 
 def _primitive_product(s: Scenario, traj) -> float:
@@ -401,64 +448,64 @@ def _primitive_product(s: Scenario, traj) -> float:
     return q
 
 
-@_check("trajectory_probability_is_primitive_product",
+@_check("scenario", "trajectory_probability_is_primitive_product",
         "trajectory probability equals the product of its primitive "
         "probabilities", tol=EQ_TOL)
-def check_trajectory_probability_product(inp: VerifyInputs):
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        g = random_total_policy(sub_rng(inp.seed, 10, idx), s, d, inp.assign_cap)
-        yield _first_over(
-            ((abs(p - _primitive_product(s, traj)), {"case": name})
-             for traj, p in joint_distribution(s, d, g, inp.assign_cap).items()),
-            EQ_TOL)
+def check_trajectory_probability_product(case: Case):
+    idx, name, _topo, d, s = case.scenario
+    g = random_total_policy(sub_rng(case.seed, 10, idx), s, d, case.assign_cap)
+    yield _first_over(
+        ((abs(p - _primitive_product(s, traj)), {"case": name})
+         for traj, p in joint_distribution(s, d, g, case.assign_cap).items()),
+        EQ_TOL)
 
 
-@_check("simulate_matches_enumerated_trajectory",
+@_check("scenario", "simulate_matches_enumerated_trajectory",
         "sampled trajectories appear in the exact trajectory distribution")
-def check_simulate_matches_enumeration(inp: VerifyInputs):
-    for idx, (name, topo, d, s) in enumerate(inp.scenario_cases):
-        g = random_total_policy(sub_rng(inp.seed, 11, idx), s, d, inp.assign_cap)
-        dist = joint_distribution(s, d, g, inp.assign_cap)
-        for seed in range(5):
-            traj = simulate(s, topo, g, seed)
-            yield (traj not in dist or dist[traj] <= 0.0,
-                   {"case": name, "seed": seed})
+def check_simulate_matches_enumeration(case: Case):
+    idx, name, topo, d, s = case.scenario
+    g = random_total_policy(sub_rng(case.seed, 11, idx), s, d, case.assign_cap)
+    dist = joint_distribution(s, d, g, case.assign_cap)
+    for seed in range(5):
+        traj = simulate(s, topo, g, seed)
+        yield (traj not in dist or dist[traj] <= 0.0,
+               {"case": name, "seed": seed})
 
 
-@_check("trajectory_stage_costs_match_cost_table",
+@_check("scenario", "trajectory_stage_costs_match_cost_table",
         "recorded stage costs equal the cost table on (t, state, actions)")
-def check_stage_costs_match(inp: VerifyInputs):
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        g = random_total_policy(sub_rng(inp.seed, 12, idx), s, d, inp.assign_cap)
-        yield _first_over(
-            (traj.stage_costs[t] != s.c(t, traj.states[t], tuple(
-                traj.actions[k - 1][t] for k in s.agents())),
-             {"case": name, "t": t})
-            for traj in joint_distribution(s, d, g, inp.assign_cap)
-            for t in s.times())
+def check_stage_costs_match(case: Case):
+    idx, name, _topo, d, s = case.scenario
+    g = random_total_policy(sub_rng(case.seed, 12, idx), s, d, case.assign_cap)
+    yield _first_over(
+        (traj.stage_costs[t] != s.c(t, traj.states[t], tuple(
+            traj.actions[k - 1][t] for k in s.agents())),
+         {"case": name, "t": t})
+        for traj in joint_distribution(s, d, g, case.assign_cap)
+        for t in s.times())
 
 
-@_check("accessible_info_monotone_in_time",
+@_check("info", "accessible_info_monotone_in_time",
         "shared information only grows with time")
-def check_accessible_monotone(inp: VerifyInputs):
-    for name, topo, d, T in inp.info_cases:
-        yield _first_over(
-            (not accessible_labels(d, k, t - 1).issubset(
-                accessible_labels(d, k, t)), {"case": name, "agent": k, "t": t})
-            for k in topo.agents() for t in range(1, T + 1))
+def check_accessible_monotone(case: Case):
+    name, topo, d, T = case.info
+    yield _first_over(
+        (not accessible_labels(d, k, t - 1).issubset(
+            accessible_labels(d, k, t)), {"case": name, "agent": k, "t": t})
+        for k in topo.agents() for t in range(1, T + 1))
 
 
-@_check("accessible_info_nested_across_agents",
+@_check("info", "accessible_info_nested_across_agents",
         "later agents' shared information nests inside earlier agents'")
-def check_accessible_nesting(inp: VerifyInputs):
-    for name, topo, d, T in inp.info_cases:
-        K = topo.agent_count
-        yield _first_over(
-            (not accessible_labels(d, j, t).issubset(
-                accessible_labels(d, k, t)), {"case": name, "pair": [k, j],
-                                              "t": t})
-            for k in range(1, K + 1) for j in range(k, K + 1)
-            for t in range(T + 1))
+def check_accessible_nesting(case: Case):
+    name, topo, d, T = case.info
+    K = topo.agent_count
+    yield _first_over(
+        (not accessible_labels(d, j, t).issubset(
+            accessible_labels(d, k, t)), {"case": name, "pair": [k, j],
+                                          "t": t})
+        for k in range(1, K + 1) for j in range(k, K + 1)
+        for t in range(T + 1))
 
 
 def _partition_breaks(d: DelayMatrix, k: int, j: int, t: int) -> bool:
@@ -468,48 +515,48 @@ def _partition_breaks(d: DelayMatrix, k: int, j: int, t: int) -> bool:
     return lkj.union(acc) != mem or len(lkj.intersect(acc)) != 0
 
 
-@_check("memory_partition_by_accessible_and_inaccessible",
+@_check("info", "memory_partition_by_accessible_and_inaccessible",
         "private plus shared information partitions each memory")
-def check_memory_partition(inp: VerifyInputs):
-    for name, topo, d, T in inp.info_cases:
-        K = topo.agent_count
-        yield _first_over(
-            (_partition_breaks(d, k, j, t), {"case": name, "pair": [k, j],
-                                             "t": t})
-            for k in range(1, K + 1) for j in range(k, K + 1)
-            for t in range(T + 1))
+def check_memory_partition(case: Case):
+    name, topo, d, T = case.info
+    K = topo.agent_count
+    yield _first_over(
+        (_partition_breaks(d, k, j, t), {"case": name, "pair": [k, j],
+                                         "t": t})
+        for k in range(1, K + 1) for j in range(k, K + 1)
+        for t in range(T + 1))
 
 
-@_check("own_inaccessible_within_common_inaccessible",
+@_check("info", "own_inaccessible_within_common_inaccessible",
         "own private domain is contained in the last agent's view of it")
-def check_own_private_within_common_private(inp: VerifyInputs):
-    for name, topo, d, T in inp.info_cases:
-        K = topo.agent_count
-        yield _first_over(
-            (not inaccessible_labels(d, k, k, t).issubset(
-                inaccessible_labels(d, k, K, t)),
-             {"case": name, "agent": k, "t": t})
-            for k in range(1, K + 1) for t in range(T + 1))
+def check_own_private_within_common_private(case: Case):
+    name, topo, d, T = case.info
+    K = topo.agent_count
+    yield _first_over(
+        (not inaccessible_labels(d, k, k, t).issubset(
+            inaccessible_labels(d, k, K, t)),
+         {"case": name, "agent": k, "t": t})
+        for k in range(1, K + 1) for t in range(T + 1))
 
 
-@_check("memory_monotone_in_time",
+@_check("info", "memory_monotone_in_time",
         "memories only grow with time (perfect recall)")
-def check_memory_monotone(inp: VerifyInputs):
-    for name, topo, d, T in inp.info_cases:
-        yield _first_over(
-            (not memory_labels(d, k, t - 1).issubset(memory_labels(d, k, t)),
-             {"case": name, "agent": k, "t": t})
-            for k in topo.agents() for t in range(1, T + 1))
+def check_memory_monotone(case: Case):
+    name, topo, d, T = case.info
+    yield _first_over(
+        (not memory_labels(d, k, t - 1).issubset(memory_labels(d, k, t)),
+         {"case": name, "agent": k, "t": t})
+        for k in topo.agents() for t in range(1, T + 1))
 
 
-@_check("memory_matches_transmission_replay",
+@_check("info", "memory_matches_transmission_replay",
         "memory formula agrees with a time-stepped transmission flood")
-def check_memory_vs_replay(inp: VerifyInputs):
-    for name, topo, d, T in inp.info_cases:
-        yield _first_over(
-            (memory_labels(d, k, t) != replay_memory(topo, k, t),
-             {"case": name, "agent": k, "t": t})
-            for k in topo.agents() for t in range(T + 1))
+def check_memory_vs_replay(case: Case):
+    name, topo, d, T = case.info
+    yield _first_over(
+        (memory_labels(d, k, t) != replay_memory(topo, k, t),
+         {"case": name, "agent": k, "t": t})
+        for k in topo.agents() for t in range(T + 1))
 
 
 def _induced_actions(s, d, psi, cap):
@@ -519,210 +566,205 @@ def _induced_actions(s, d, psi, cap):
             for prim in enumerate_primitives(s, cap)]
 
 
-@_check("prescription_action_consistency_across_owners",
+@_check("scenario", "prescription_action_consistency_across_owners",
         "re-seated strategies generate identical action profiles everywhere")
-def check_prescription_consistency(inp: VerifyInputs):
-    cap = inp.assign_cap
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        for k in s.agents():
-            psi = random_strategy(sub_rng(inp.seed, 13, idx, k), s, d, k, cap)
-            base = _induced_actions(s, d, psi, cap)
-            for j in s.agents():
-                moved = positional_transfer(psi, j, s, d, cap)
-                yield (_induced_actions(s, d, moved, cap) != base,
-                       {"case": name, "owner": k, "target": j})
-
-
-@_check("policy_strategy_round_trip_identity",
-        "splitting a policy into prescriptions and back reproduces it")
-def check_round_trip(inp: VerifyInputs):
-    cap = inp.assign_cap
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        for rep in range(3):
-            g = random_total_policy(sub_rng(inp.seed, 14, idx, rep), s, d, cap)
-            for k in s.agents():
-                g2 = strategy_to_policy(
-                    s, d, policy_to_strategy(s, d, g, k, cap), cap)
-                yield g2.tables != g.tables, {"case": name, "owner": k,
-                                              "rep": rep}
-
-
-@_check("prescription_domains_match_partition_rule",
-        "every generated prescription has exactly the declared domain")
-def check_prescription_domains(inp: VerifyInputs):
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        for k in s.agents():
-            psi = random_strategy(sub_rng(inp.seed, 15, idx, k), s, d, k,
-                                  inp.assign_cap)
-            want = {key: prescription_domain(d, k, *key) for key in psi.parts}
-            yield _first_over(
-                (gamma.domain != want[j, t],
-                 {"case": name, "owner": k, "target": j, "t": t})
-                for (j, t), rows in psi.parts.items()
-                for gamma in rows.values())
-
-
-@_check("positional_transfer_composition",
-        "re-seating via an intermediate agent equals re-seating directly")
-def check_transfer_composition(inp: VerifyInputs):
-    cap = inp.assign_cap
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        k = s.agent_count  # owner
-        psi = random_strategy(sub_rng(inp.seed, 16, idx), s, d, k, cap)
-        direct = {i: _induced_actions(
-            s, d, positional_transfer(psi, i, s, d, cap), cap)
-            for i in s.agents()}
+def check_prescription_consistency(case: Case):
+    cap = case.assign_cap
+    idx, name, _topo, d, s = case.scenario
+    for k in s.agents():
+        psi = random_strategy(sub_rng(case.seed, 13, idx, k), s, d, k, cap)
+        base = _induced_actions(s, d, psi, cap)
         for j in s.agents():
-            via = positional_transfer(psi, j, s, d, cap)
-            for i in s.agents():
-                through = positional_transfer(via, i, s, d, cap)
-                yield (_induced_actions(s, d, through, cap) != direct[i],
-                       {"case": name, "via": j, "to": i})
+            moved = positional_transfer(psi, j, s, d, cap)
+            yield (_induced_actions(s, d, moved, cap) != base,
+                   {"case": name, "owner": k, "target": j})
 
 
-def _filter_pass(inp: VerifyInputs) -> list[CheckResult]:
+@_check("scenario", "policy_strategy_round_trip_identity",
+        "splitting a policy into prescriptions and back reproduces it")
+def check_round_trip(case: Case):
+    cap = case.assign_cap
+    idx, name, _topo, d, s = case.scenario
+    for rep in range(3):
+        g = random_total_policy(sub_rng(case.seed, 14, idx, rep), s, d, cap)
+        for k in s.agents():
+            g2 = strategy_to_policy(
+                s, d, policy_to_strategy(s, d, g, k, cap), cap)
+            yield g2.tables != g.tables, {"case": name, "owner": k,
+                                          "rep": rep}
+
+
+@_check("scenario", "prescription_domains_match_partition_rule",
+        "every generated prescription has exactly the declared domain")
+def check_prescription_domains(case: Case):
+    idx, name, _topo, d, s = case.scenario
+    for k in s.agents():
+        psi = random_strategy(sub_rng(case.seed, 15, idx, k), s, d, k,
+                              case.assign_cap)
+        want = {key: prescription_domain(d, k, *key) for key in psi.parts}
+        yield _first_over(
+            (gamma.domain != want[j, t],
+             {"case": name, "owner": k, "target": j, "t": t})
+            for (j, t), rows in psi.parts.items()
+            for gamma in rows.values())
+
+
+@_check("scenario", "positional_transfer_composition",
+        "re-seating via an intermediate agent equals re-seating directly")
+def check_transfer_composition(case: Case):
+    cap = case.assign_cap
+    idx, name, _topo, d, s = case.scenario
+    k = s.agent_count  # owner
+    psi = random_strategy(sub_rng(case.seed, 16, idx), s, d, k, cap)
+    direct = {i: _induced_actions(
+        s, d, positional_transfer(psi, i, s, d, cap), cap)
+        for i in s.agents()}
+    for j in s.agents():
+        via = positional_transfer(psi, j, s, d, cap)
+        for i in s.agents():
+            through = positional_transfer(via, i, s, d, cap)
+            yield (_induced_actions(s, d, through, cap) != direct[i],
+                   {"case": name, "via": j, "to": i})
+
+
+def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
+                 markov: CheckResult, normalized: CheckResult) -> None:
     """The four filter checks, fed by one pre-order walk over the history
-    tree of each (case, agent). A root's chained belief is its direct
+    tree of each agent of the case. A root's chained belief is its direct
     conditioning on the empty prescription history; every other node's is
     the filter update of its parent's, and every node carries its own direct
     conditioning as ``node.belief``."""
-    chain = CheckResult("filter_chain_matches_direct_conditioning",
-                        "chained filter updates equal direct conditioning at "
-                        "every history")
-    independent = CheckResult("filter_output_strategy_independent",
-                              "filter output depends only on (belief, "
-                              "prescription, new info)")
-    markov = CheckResult("belief_evolution_markov",
-                         "histories with equal (belief, prescription) induce "
-                         "equal successor laws")
-    normalized = CheckResult("belief_normalization",
-                             "every computed belief sums to one")
-    for name, _topo, d, s in inp.scenario_cases:
-        for k in s.agents():
-            roots, nodes = history_tree(s, d, k, inp.assign_cap,
-                                        inp.policy_cap)
-            # chained beliefs of the nodes not visited yet, by node id
-            chained = {id(root): root.belief for root in roots}
-            seen: dict[tuple, BeliefState] = {}
-            # the independence and Markov checks intern into their own lists
-            reps: list[BeliefState] = []
-            markov_reps: list[BeliefState] = []
-            groups: dict[tuple, list] = {}
-            for node in nodes:
-                pi = chained.pop(id(node))
-                at = {"case": name, "agent": k, "t": node.time}
-                chain.see(belief_linf(pi, node.belief), at)
-                normalized.see(max(abs(pi.total() - 1.0),
-                                   abs(node.belief.total() - 1.0)), at)
-                rid = _belief_reps_intern(reps, pi)
-                if node.time < s.horizon:
-                    markov_rid = _belief_reps_intern(markov_reps, pi)
-                for theta, edges in zip(node.theta_options, node.children):
-                    tkey = theta_fingerprint(theta)
-                    # successor law from the history itself: conditional
-                    # probability of each outcome times the successor class
-                    law = {}
-                    for z, w, child in edges:
-                        nxt = chained[id(child)] = belief_update(
-                            s, d, pi, theta, z)
-                        first = seen.setdefault(
-                            (node.time, rid, tkey, z.items), nxt)
-                        independent.see(0.0 if first is nxt
-                                        else belief_linf(first, nxt), at)
-                        nid = _belief_reps_intern(markov_reps, nxt)
-                        law[nid] = law.get(nid, 0.0) + w / node.weight
-                    groups.setdefault((node.time, markov_rid, tkey), []
-                                      ).append(law)
-            for (t, _rid, _tkey), (base, *laws) in groups.items():
-                markov.see(max((abs(base.get(r, 0.0) - law.get(r, 0.0))
-                                for law in laws for r in set(base) | set(law)),
-                               default=0.0),
-                           {"case": name, "agent": k, "t": t})
-    return [chain, independent, markov, normalized]
+    _idx, name, _topo, d, s = case.scenario
+    for k in s.agents():
+        roots, nodes = history_tree(s, d, k, case.assign_cap,
+                                    case.policy_cap)
+        # chained beliefs of the nodes not visited yet, by node id
+        chained = {id(root): root.belief for root in roots}
+        seen: dict[tuple, BeliefState] = {}
+        # the independence and Markov checks intern into their own lists
+        reps: list[BeliefState] = []
+        markov_reps: list[BeliefState] = []
+        groups: dict[tuple, list] = {}
+        for node in nodes:
+            pi = chained.pop(id(node))
+            at = {"case": name, "agent": k, "t": node.time}
+            chain.see(belief_linf(pi, node.belief), at)
+            normalized.see(max(abs(pi.total() - 1.0),
+                               abs(node.belief.total() - 1.0)), at)
+            rid = _belief_reps_intern(reps, pi)
+            if node.time < s.horizon:
+                markov_rid = _belief_reps_intern(markov_reps, pi)
+            for theta, edges in zip(node.theta_options, node.children):
+                tkey = theta_fingerprint(theta)
+                # successor law from the history itself: conditional
+                # probability of each outcome times the successor class
+                law = {}
+                for z, w, child in edges:
+                    nxt = chained[id(child)] = belief_update(
+                        s, d, pi, theta, z)
+                    first = seen.setdefault(
+                        (node.time, rid, tkey, z.items), nxt)
+                    independent.see(0.0 if first is nxt
+                                    else belief_linf(first, nxt), at)
+                    nid = _belief_reps_intern(markov_reps, nxt)
+                    law[nid] = law.get(nid, 0.0) + w / node.weight
+                groups.setdefault((node.time, markov_rid, tkey), []
+                                  ).append(law)
+        for (t, _rid, _tkey), (base, *laws) in groups.items():
+            markov.see(max((abs(base.get(r, 0.0) - law.get(r, 0.0))
+                            for law in laws for r in set(base) | set(law)),
+                           default=0.0),
+                       {"case": name, "agent": k, "t": t})
 
 
-@_from_pass(_filter_pass, "filter_chain_matches_direct_conditioning")
-def check_filter_chain_vs_scratch(inp: VerifyInputs) -> CheckResult:
+@_from_pass(_filter_pass, "filter_chain_matches_direct_conditioning",
+            "chained filter updates equal direct conditioning at every "
+            "history")
+def check_filter_chain_vs_scratch(case: Case, results) -> CheckResult:
     """Chained filter updates against direct conditioning."""
 
 
-@_from_pass(_filter_pass, "filter_output_strategy_independent")
-def check_filter_policy_independence(inp: VerifyInputs) -> CheckResult:
+@_from_pass(_filter_pass, "filter_output_strategy_independent",
+            "filter output depends only on (belief, prescription, new info)")
+def check_filter_policy_independence(case: Case, results) -> CheckResult:
     """One filter output per (belief, prescription, new information)."""
 
 
-@_from_pass(_filter_pass, "belief_evolution_markov")
-def check_markov_property(inp: VerifyInputs) -> CheckResult:
+@_from_pass(_filter_pass, "belief_evolution_markov",
+            "histories with equal (belief, prescription) induce equal "
+            "successor laws")
+def check_markov_property(case: Case, results) -> CheckResult:
     """Equal (belief, prescription) pairs, equal successor laws."""
 
 
-@_from_pass(_filter_pass, "belief_normalization")
-def check_belief_normalization(inp: VerifyInputs) -> CheckResult:
+@_from_pass(_filter_pass, "belief_normalization",
+            "every computed belief sums to one")
+def check_belief_normalization(case: Case, results) -> CheckResult:
     """Every chained and direct belief sums to one."""
 
 
-@_check("sufficient_state_step_deterministic",
+@_check("scenario", "sufficient_state_step_deterministic",
         "sufficient state, noises and prescription determine the next step")
-def check_sufficient_state_determinism(inp: VerifyInputs):
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        for k in s.agents():
-            for rep in range(2):
-                psi = random_strategy(sub_rng(inp.seed, 17, idx, k, rep), s, d,
-                                      k, inp.assign_cap)
-                g = strategy_to_policy(s, d, psi, inp.assign_cap)
-                for prim in enumerate_primitives(s, inp.assign_cap):
-                    traj = propagate(s, d, prim, g.action)
-                    values = {}
-                    for t in s.times():
-                        for j in s.agents():
-                            values[obs_label(j, t)] = traj.observations[j - 1][t]
-                            values[act_label(j, t)] = traj.actions[j - 1][t]
+def check_sufficient_state_determinism(case: Case):
+    idx, name, _topo, d, s = case.scenario
+    for k in s.agents():
+        for rep in range(2):
+            psi = random_strategy(sub_rng(case.seed, 17, idx, k, rep), s, d,
+                                  k, case.assign_cap)
+            g = strategy_to_policy(s, d, psi, case.assign_cap)
+            for prim in enumerate_primitives(s, case.assign_cap):
+                traj = propagate(s, d, prim, g.action)
+                values = {}
+                for t in s.times():
+                    for j in s.agents():
+                        values[obs_label(j, t)] = traj.observations[j - 1][t]
+                        values[act_label(j, t)] = traj.actions[j - 1][t]
 
-                    def realize(labels):
-                        return Realization(tuple((l, values[l]) for l in labels))
+                def realize(labels):
+                    return Realization(tuple((l, values[l]) for l in labels))
 
-                    for t in s.times():
-                        at = {"case": name, "agent": k, "t": t}
-                        st = SufficientState(
-                            owner=k, time=t, x=traj.states[t],
-                            info=realize(sufficient_info_labels(d, k, t)))
-                        theta = complete_prescription_at(
-                            s, d, psi, t, realize(accessible_labels(d, k, t)))
-                        # equal stage costs alone would let a wrong action
-                        # with the same cost through
-                        if tuple(act(gamma, st.info.restrict(gamma.domain))
-                                 for gamma in theta.parts) != tuple(
-                                traj.actions[j - 1][t] for j in s.agents()):
-                            yield True, {**at, "what": "actions"}
-                            continue
-                        cost_wrong = (stage_cost_hat(s, st, theta, d)
-                                      != traj.stage_costs[t])
-                        if cost_wrong or t == s.horizon:
-                            yield cost_wrong, {**at, "what": "stage cost"}
-                            continue
-                        vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
-                        st2, z2 = state_step(s, d, st, prim.w[t], vn, theta)
-                        want_st2 = SufficientState(
-                            owner=k, time=t + 1, x=traj.states[t + 1],
-                            info=realize(sufficient_info_labels(d, k, t + 1)))
-                        want_z = realize(new_info_labels(d, k, t + 1))
-                        yield (st2 != want_st2 or z2 != want_z,
-                               {**at, "what": "state step"})
+                for t in s.times():
+                    at = {"case": name, "agent": k, "t": t}
+                    st = SufficientState(
+                        owner=k, time=t, x=traj.states[t],
+                        info=realize(sufficient_info_labels(d, k, t)))
+                    theta = complete_prescription_at(
+                        s, d, psi, t, realize(accessible_labels(d, k, t)))
+                    # equal stage costs alone would let a wrong action
+                    # with the same cost through
+                    if tuple(act(gamma, st.info.restrict(gamma.domain))
+                             for gamma in theta.parts) != tuple(
+                            traj.actions[j - 1][t] for j in s.agents()):
+                        yield True, {**at, "what": "actions"}
+                        continue
+                    cost_wrong = (stage_cost_hat(s, st, theta, d)
+                                  != traj.stage_costs[t])
+                    if cost_wrong or t == s.horizon:
+                        yield cost_wrong, {**at, "what": "stage cost"}
+                        continue
+                    vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
+                    st2, z2 = state_step(s, d, st, prim.w[t], vn, theta)
+                    want_st2 = SufficientState(
+                        owner=k, time=t + 1, x=traj.states[t + 1],
+                        info=realize(sufficient_info_labels(d, k, t + 1)))
+                    want_z = realize(new_info_labels(d, k, t + 1))
+                    yield (st2 != want_st2 or z2 != want_z,
+                           {**at, "what": "state step"})
 
 
-@_check("strategy_policy_cost_equivalence",
+@_check("scenario", "strategy_policy_cost_equivalence",
         "policy route and prescription route give the same expected cost",
         tol=EQ_TOL)
-def check_cost_equivalence(inp: VerifyInputs):
-    cap = inp.assign_cap
-    for idx, (name, _topo, d, s) in enumerate(inp.scenario_cases):
-        for rep in range(5):
-            g = random_total_policy(sub_rng(inp.seed, 18, idx, rep), s, d, cap)
-            base = evaluate_policy(s, d, g, cap)
-            for k in s.agents():
-                psi = policy_to_strategy(s, d, g, k, cap)
-                yield (abs(evaluate_strategy(s, d, psi, cap) - base),
-                       {"case": name, "owner": k, "rep": rep})
+def check_cost_equivalence(case: Case):
+    cap = case.assign_cap
+    idx, name, _topo, d, s = case.scenario
+    for rep in range(5):
+        g = random_total_policy(sub_rng(case.seed, 18, idx, rep), s, d, cap)
+        base = evaluate_policy(s, d, g, cap)
+        for k in s.agents():
+            psi = policy_to_strategy(s, d, g, k, cap)
+            yield (abs(evaluate_strategy(s, d, psi, cap) - base),
+                   {"case": name, "owner": k, "rep": rep})
 
 
 def _capped(solve, *args):
@@ -733,61 +775,56 @@ def _capped(solve, *args):
         return None
 
 
-def _solver_pass(inp: VerifyInputs) -> list[CheckResult]:
+def _solver_pass(case: Case, dp_brute: CheckResult, greedy: CheckResult,
+                 structural: CheckResult) -> None:
     """The three solver checks, fed by one brute-force and one common-info
-    solve per case; a capped solve skips the checks that need it."""
-    dp_brute = CheckResult("dp_matches_brute_force",
-                           "belief-space backward induction attains the "
-                           "exhaustive optimum")
-    greedy = CheckResult("dp_greedy_strategy_reproduces_value",
-                         "evaluating the greedy strategy reproduces the "
-                         "backward value")
-    structural = CheckResult("structural_form_matches_brute_force",
-                             "structural-form search attains the exhaustive "
-                             "optimum for every agent")
-    caps = (inp.policy_cap, inp.assign_cap)
-    for name, _topo, d, s in inp.scenario_cases:
-        br = _capped(brute_force_optimal, s, d, *caps)
-        dp = _capped(common_info_dp, s, d, *caps)
-        if br is not None and dp is not None:
-            dp_brute.see(abs(br.value - dp.value),
-                         {"case": name, "brute": br.value, "dp": dp.value})
-        if dp is not None and greedy.passed:
-            got = evaluate_strategy(s, d, dp.argmin, inp.assign_cap)
-            greedy.see(abs(got - dp.value),
-                       {"case": name, "value": dp.value, "evaluated": got})
-        if br is None or not structural.passed:
-            continue
-        for k in s.agents():
-            st = _capped(structural_search, s, d, k, *caps)
-            if st is not None:
-                structural.see(abs(st.value - br.value),
-                               {"case": name, "agent": k,
-                                "brute": br.value, "structural": st.value})
-    return [dp_brute, greedy, structural]
+    solve of the case; a capped solve skips the checks that need it."""
+    _idx, name, _topo, d, s = case.scenario
+    caps = (case.policy_cap, case.assign_cap)
+    br = _capped(brute_force_optimal, s, d, *caps)
+    dp = _capped(common_info_dp, s, d, *caps)
+    if br is not None and dp is not None:
+        dp_brute.see(abs(br.value - dp.value),
+                     {"case": name, "brute": br.value, "dp": dp.value})
+    if dp is not None and greedy.passed:
+        got = evaluate_strategy(s, d, dp.argmin, case.assign_cap)
+        greedy.see(abs(got - dp.value),
+                   {"case": name, "value": dp.value, "evaluated": got})
+    if br is None or not structural.passed:
+        return
+    for k in s.agents():
+        st = _capped(structural_search, s, d, k, *caps)
+        if st is not None:
+            structural.see(abs(st.value - br.value),
+                           {"case": name, "agent": k,
+                            "brute": br.value, "structural": st.value})
 
 
-@_from_pass(_solver_pass, "dp_matches_brute_force")
-def check_dp_vs_brute(inp: VerifyInputs) -> CheckResult:
+@_from_pass(_solver_pass, "dp_matches_brute_force",
+            "belief-space backward induction attains the exhaustive optimum")
+def check_dp_vs_brute(case: Case, results) -> CheckResult:
     """Common-information DP value against the brute-force optimum."""
 
 
-@_from_pass(_solver_pass, "dp_greedy_strategy_reproduces_value")
-def check_dp_greedy_consistency(inp: VerifyInputs) -> CheckResult:
+@_from_pass(_solver_pass, "dp_greedy_strategy_reproduces_value",
+            "evaluating the greedy strategy reproduces the backward value")
+def check_dp_greedy_consistency(case: Case, results) -> CheckResult:
     """The DP's greedy strategy evaluated against the DP value."""
 
 
-@_from_pass(_solver_pass, "structural_form_matches_brute_force")
-def check_structural_vs_brute(inp: VerifyInputs) -> CheckResult:
+@_from_pass(_solver_pass, "structural_form_matches_brute_force",
+            "structural-form search attains the exhaustive optimum for every "
+            "agent")
+def check_structural_vs_brute(case: Case, results) -> CheckResult:
     """Structural-form search against the brute-force optimum."""
 
 
-@_check("delay_reduction_never_increases_optimal_cost",
+@_check("pairs", "delay_reduction_never_increases_optimal_cost",
         "uniformly shorter delays never increase the optimal cost", tol=EQ_TOL)
-def check_monotone_information(inp: VerifyInputs):
-    caps = (inp.policy_cap, inp.assign_cap)
+def check_monotone_information(case: Case):
+    caps = (case.policy_cap, case.assign_cap)
     for i in range(3):
-        rng = sub_rng(inp.seed, 19, i)
+        rng = sub_rng(case.seed, 19, i)
         K = 2
         delay = rng.integers(2, 4)
         slow = Topology.of(K, [(1, 2, delay), (2, 1, delay)])
@@ -801,15 +838,15 @@ def check_monotone_information(inp: VerifyInputs):
         yield j_fast - j_slow, {"pair": i, "slow": j_slow, "fast": j_fast}
 
 
-@_check("domain_report_subset_relation",
+@_check("scenario", "domain_report_subset_relation",
         "domain report certifies the private-domain subset relation")
-def check_domain_subset_report(inp: VerifyInputs):
-    for name, _topo, d, s in inp.scenario_cases:
-        yield _first_over(
-            (not row.subset or row.own_labels > row.common_labels
-             or row.own_realizations > row.common_realizations,
-             {"case": name, "agent": row.agent, "t": row.time})
-            for row in domain_comparison(s, d).rows)
+def check_domain_subset_report(case: Case):
+    _idx, name, _topo, d, s = case.scenario
+    yield _first_over(
+        (not row.subset or row.own_labels > row.common_labels
+         or row.own_realizations > row.common_realizations,
+         {"case": name, "agent": row.agent, "t": row.time})
+        for row in domain_comparison(s, d).rows)
 
 
 CHECKS = [
@@ -845,37 +882,69 @@ CHECKS = [
 ]
 
 
-def _task_groups(checks) -> list[list[int]]:
-    """Positions in ``checks`` per worker task. The checks fed by one shared
-    pass form one task, so the pass runs once; every other check is a task
-    of its own."""
-    groups: dict[object, list[int]] = {}
-    for i, fn in enumerate(checks):
-        groups.setdefault(getattr(fn, "shared_pass", fn), []).append(i)
-    return list(groups.values())
+# Cases between two full collections in ``run_cases``. A full collection also
+# empties the interpreter's free lists, whose blocks would otherwise keep
+# allocator arenas mapped: without it, peak RSS grows by about 1 MB per 1,000
+# random cases although no object outlives its case.
+_COLLECT_EVERY = 64
 
 
-def _run_task(args):
-    fns, inputs = args
-    return [fn(inputs) for fn in fns]
+def run_cases(scenario_path: str | None, random_n: int, seed: int,
+              caps: tuple[int, int] = (DEFAULT_POLICY_CAP, DEFAULT_ENUM_CAP),
+              lo: int = 0, hi: int | None = None) -> list[CheckResult]:
+    """Every check over cases ``lo`` to ``hi - 1`` of a run, one case at a
+    time and in case order; the tallies come in ``CHECKS`` order.
+
+    A case is dropped once its checks have run, and the label caches keyed
+    by delay matrix are emptied between cases, so they hold one case's
+    entries at most."""
+    results = {fn.spec[0]: CheckResult(*fn.spec) for fn in CHECKS}
+    for n, case in enumerate(build_inputs(scenario_path, random_n, seed,
+                                          *caps, lo, hi)):
+        if n:
+            clear_label_caches()
+            sufficient_info_labels.cache_clear()
+            if n % _COLLECT_EVERY == 0:
+                gc.collect()
+        for fn in CHECKS:
+            if getattr(case, fn.kind):
+                fn(case, results)
+    return list(results.values())
+
+
+def case_ranges(cases: int, jobs: int) -> list[tuple[int, int]]:
+    """Up to ``jobs`` contiguous, non-empty ranges that cover the cases
+    ``0 .. cases - 1``, in order and as even as can be."""
+    parts = min(jobs, cases)
+    return [(cases * i // parts, cases * (i + 1) // parts)
+            for i in range(parts)]
+
+
+def merge_tallies(tallies: list[list[CheckResult]]) -> list[CheckResult]:
+    """One tally per check from the tallies of consecutive case ranges."""
+    results = tallies[0]
+    for later in tallies[1:]:
+        for result, part in zip(results, later):
+            result.merge(part)
+    return results
 
 
 def run_verify(scenario_path: str | None, random_n: int, seed: int,
                policy_cap: int = DEFAULT_POLICY_CAP,
                assign_cap: int = DEFAULT_ENUM_CAP, jobs: int = 1) -> dict:
-    """Run every registered check; the report is a JSON-ready dict."""
-    inputs = build_inputs(scenario_path, random_n, seed, policy_cap, assign_cap)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        groups = _task_groups(CHECKS)
-        tasks = [([CHECKS[i] for i in group], inputs) for group in groups]
-        results: list = [None] * len(CHECKS)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for group, done in zip(groups, pool.map(_run_task, tasks)):
-                for i, r in zip(group, done):
-                    results[i] = r
+    """Run every registered check; the report is a JSON-ready dict. With
+    ``jobs`` above one, worker processes take contiguous case ranges, and
+    their tallies are merged in case order."""
+    run = functools.partial(run_cases, scenario_path, random_n, seed,
+                            (policy_cap, assign_cap))
+    ranges = case_ranges(len(_case_keys(scenario_path, random_n)), jobs)
+    if len(ranges) == 1:
+        tallies = [run()]
     else:
-        results = [fn(inputs) for fn in CHECKS]
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            tallies = list(pool.map(run, *zip(*ranges)))
+    results = merge_tallies(tallies)
     return {
         "seed": seed,
         "random_instances": random_n,

@@ -164,6 +164,16 @@ def test_verify_random_batch_is_deterministic_and_green():
     assert len(doc["checks"]) == 29
 
 
+def test_verify_cap_in_a_worker_process_is_reported_as_with_one_job():
+    # the error is pickled back from the worker that hit the cap
+    one = womctl("verify", "--random", "3", "--cap", "20")
+    two = womctl("verify", "--random", "3", "--cap", "20", "--jobs", "2")
+    assert (one.returncode, one.stdout) == (3, "")
+    assert one.stderr.startswith("error: ") and "exceeds cap 20" in one.stderr
+    assert (two.returncode, two.stdout, two.stderr) == (
+        one.returncode, one.stdout, one.stderr)
+
+
 def test_export_strategy_produces_total_tables(tmp_path):
     out = tmp_path / "strategy.json"
     r = womctl("export-strategy", "--scenario", INSTANCE_A,
@@ -286,6 +296,18 @@ def _play_u0_history(steps: int) -> str:
         for t in range(steps)]
     return json.dumps({"accessible": accessible,
                        "prescriptions": prescriptions})
+
+
+def test_belief_command_rejects_an_unknown_history_key(tmp_path):
+    history = tmp_path / "history.json"
+    step = json.loads(_play_u0_history(1))["prescriptions"]
+    history.write_text(json.dumps({"accessible": "-", "prescription": step}),
+                       encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "error: history file has unknown key 'prescription'; expected "
+        "'accessible' and 'prescriptions'\n")
 
 
 def test_belief_command_takes_at_most_horizon_steps(tmp_path):

@@ -356,7 +356,10 @@ def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
 def test_common_info_argmin_attains_its_value_on_random_cases():
     solved = 0
     for seed in range(5):
-        for _name, _topo, d, s in build_inputs(None, 40, seed).scenario_cases:
+        for case in build_inputs(None, 40, seed):
+            if not case.scenario:
+                continue
+            _idx, _name, _topo, d, s = case.scenario
             dp = common_info_dp(s, d)
             assert abs(evaluate_strategy(s, d, dp.argmin) - dp.value) <= 1e-9
             solved += 1

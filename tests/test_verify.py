@@ -8,7 +8,6 @@ with their usual instance counts.
 
 import dataclasses
 import gc
-import pickle
 from collections import Counter
 
 import pytest
@@ -17,16 +16,21 @@ import womctl.verify as verify
 from womctl.belief import BELIEF_TOL, SufficientState, sufficient_info_labels
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a
-from womctl.infostruct import Realization
-from womctl.topology import min_delay_matrix
+from womctl.infostruct import Realization, accessible_labels, memory_labels
+from womctl.topology import DelayMatrix, min_delay_matrix
 
 from oracles import member_history_tree
 
 SCN0_AGENT1_T1 = {"case": "scn-0", "agent": 1, "t": 1}
 
 
-def _check(fn, inp):
-    r = fn(inp)
+def _results(random_n, seed=0):
+    """Every check's tally on ``run_cases``, by check name."""
+    return {r.name: r for r in verify.run_cases(None, random_n, seed)}
+
+
+def _check(results, name):
+    r = results[name]
     return r.name, r.instances, r.passed, r.counterexample
 
 
@@ -41,14 +45,14 @@ def test_skewed_filter_update_fails_the_chain_and_normalization_checks(
         return out
 
     monkeypatch.setattr(verify, "belief_update", skewed)
-    inp = verify.build_inputs(None, 1, 0)
-    assert _check(verify.check_filter_chain_vs_scratch, inp) == (
+    results = _results(1)
+    assert _check(results, "filter_chain_matches_direct_conditioning") == (
         "filter_chain_matches_direct_conditioning", 2, False, SCN0_AGENT1_T1)
-    assert _check(verify.check_belief_normalization, inp) == (
+    assert _check(results, "belief_normalization") == (
         "belief_normalization", 2, False, SCN0_AGENT1_T1)
-    assert _check(verify.check_filter_policy_independence, inp) == (
+    assert _check(results, "filter_output_strategy_independent") == (
         "filter_output_strategy_independent", 81, True, None)
-    assert _check(verify.check_markov_property, inp) == (
+    assert _check(results, "belief_evolution_markov") == (
         "belief_evolution_markov", 52, True, None)
 
 
@@ -60,14 +64,13 @@ def test_offset_dp_value_fails_the_dp_checks_only(monkeypatch):
         return dataclasses.replace(res, value=res.value + 1.0)
 
     monkeypatch.setattr(verify, "common_info_dp", offset)
-    inp = verify.build_inputs(None, 1, 0)
-    for fn, name in ((verify.check_dp_vs_brute, "dp_matches_brute_force"),
-                     (verify.check_dp_greedy_consistency,
-                      "dp_greedy_strategy_reproduces_value")):
-        r = fn(inp)
+    results = _results(1)
+    for name in ("dp_matches_brute_force",
+                 "dp_greedy_strategy_reproduces_value"):
+        r = results[name]
         assert (r.name, r.instances, r.passed) == (name, 1, False)
         assert r.counterexample["case"] == "scn-0"
-    r = verify.check_structural_vs_brute(inp)
+    r = results["structural_form_matches_brute_force"]
     assert (r.name, r.instances, r.passed) == (
         "structural_form_matches_brute_force", 5, True)
 
@@ -77,10 +80,10 @@ def test_capped_brute_force_leaves_only_the_greedy_check_running(monkeypatch):
         raise EnumerationCapExceeded("policy candidates", 2, 1)
 
     monkeypatch.setattr(verify, "brute_force_optimal", capped)
-    inp = verify.build_inputs(None, 1, 0)
-    assert verify.check_dp_vs_brute(inp).instances == 0
-    assert verify.check_structural_vs_brute(inp).instances == 0
-    assert verify.check_dp_greedy_consistency(inp).instances == 3
+    results = _results(1)
+    assert results["dp_matches_brute_force"].instances == 0
+    assert results["structural_form_matches_brute_force"].instances == 0
+    assert results["dp_greedy_strategy_reproduces_value"].instances == 3
 
 
 def test_verify_builds_each_shared_input_once(monkeypatch):
@@ -111,7 +114,10 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
     # horizon plus once for the roots of each tree, and replays no primitive
     # assignment of its own
     calls.clear()
-    verify._filter_pass(verify.build_inputs(None, 1, 0))
+    for case in verify.build_inputs(None, 1, 0):
+        if case.scenario:
+            verify._filter_pass(case, *(verify.CheckResult(n, "")
+                                        for n in "abcd"))
     assert (calls["enumerate_primitives"], calls["conditional_beliefs"]) == (
         0, 57)
 
@@ -130,11 +136,45 @@ def test_verify_leaves_no_cyclic_garbage():
     assert garbage == 0
 
 
+def test_no_delay_matrix_outlives_its_case():
+    def live():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, DelayMatrix)]
+
+    before = live()  # kept alive, so that no id is reused
+    known = {id(o) for o in before}
+    verify.run_verify(None, 200, 0)
+    # only the last case's matrix may stay, held by the label caches: the
+    # case scn-single, with one agent and horizon 1, so two (k, t) keys
+    assert len([o for o in live() if id(o) not in known]) <= 1
+    for cache in (memory_labels, accessible_labels, sufficient_info_labels):
+        assert cache.cache_info().currsize <= 2
+
+
+def test_case_ranges_are_contiguous_and_never_empty():
+    assert verify.case_ranges(3, 64) == [(0, 1), (1, 2), (2, 3)]
+    assert verify.case_ranges(10, 1) == [(0, 10)]
+    assert verify.case_ranges(10, 4) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    for cases in range(1, 12):
+        for jobs in range(1, 14):
+            ranges = verify.case_ranges(cases, jobs)
+            assert len(ranges) == min(cases, jobs)
+            assert [lo for lo, _hi in ranges] == [0] + [
+                hi for _lo, hi in ranges[:-1]]
+            assert ranges[-1][1] == cases
+            assert all(lo < hi for lo, hi in ranges)
+    # a scenario-only run has two cases: the delay-reduction pairs and the file
+    assert len(verify._case_keys("x.wom", 0)) == 2
+    assert len(verify._case_keys(None, 6)) == 1 + 6 + 3
+
+
 def _tree_cases():
     topo, s = instance_a()
     yield pytest.param(s, min_delay_matrix(topo), id="instance_a")
-    for name, _topo, d, s in verify.build_inputs(None, 6, 0).scenario_cases:
-        yield pytest.param(s, d, id=name)
+    for case in verify.build_inputs(None, 6, 0):
+        if case.scenario:
+            _idx, name, _topo, d, s = case.scenario
+            yield pytest.param(s, d, id=name)
 
 
 @pytest.mark.parametrize("s, d", _tree_cases())
@@ -164,42 +204,6 @@ def test_history_tree_matches_the_member_replay(s, d):
             assert set(node.belief.probs) == set(conditional)
             assert max(abs(node.belief.probs[st] - p)
                        for st, p in conditional.items()) <= BELIEF_TOL
-
-
-def test_pool_tasks_group_the_checks_of_each_shared_pass():
-    groups = verify._task_groups(verify.CHECKS)
-    assert sorted(i for g in groups for i in g) == list(range(29))
-    names = [[verify.CHECKS[i].__name__ for i in g] for g in groups]
-    shared = [g for g in names if len(g) > 1]
-    assert shared == [
-        ["check_filter_chain_vs_scratch", "check_filter_policy_independence",
-         "check_markov_property", "check_belief_normalization"],
-        ["check_dp_vs_brute", "check_dp_greedy_consistency",
-         "check_structural_vs_brute"],
-    ]
-    assert len(groups) == 29 - 4 - 3 + 2 == 24
-
-
-def test_each_pool_task_runs_its_shared_pass_once(monkeypatch):
-    calls = Counter()
-
-    def counted(name):
-        real = getattr(verify, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("history_tree", "brute_force_optimal", "common_info_dp"):
-        monkeypatch.setattr(verify, name, counted(name))
-    inp = verify.build_inputs(None, 1, 0)
-    for group in verify._task_groups(verify.CHECKS):
-        # a worker gets its own unpickled copy of the inputs, shared cache empty
-        copy = pickle.loads(pickle.dumps(inp))
-        verify._run_task(([verify.CHECKS[i] for i in group], copy))
-    assert calls == {"history_tree": 5, "brute_force_optimal": 9,
-                     "common_info_dp": 3}
 
 
 # -- failure-path pins ---------------------------------------------------------
@@ -233,13 +237,14 @@ def _corrupt_graph_3(real):
     """graph-3 (two agents) with delay(1, 1) = -1; a negative diagonal entry
     leaves its relay paths, and so the path check, unchanged."""
     def build(*args, **kwargs):
-        inp = real(*args, **kwargs)
-        name, topo, d = inp.graph_cases[3]
-        rows = [list(row) for row in d.rows]
-        rows[0][0] = -1
-        inp.graph_cases[3] = (name, topo, dataclasses.replace(
-            d, rows=tuple(map(tuple, rows))))
-        return inp
+        for case in real(*args, **kwargs):
+            if case.graph and case.graph[0] == "graph-3":
+                name, topo, d = case.graph
+                rows = [list(row) for row in d.rows]
+                rows[0][0] = -1
+                case.graph = (name, topo, dataclasses.replace(
+                    d, rows=tuple(map(tuple, rows))))
+            yield case
     return build
 
 
@@ -279,7 +284,8 @@ FAULTS = {
 }
 
 
-# instances of every check on build_inputs(None, 6, 0), in CHECKS order
+# instances of every check on the cases of a run with random_n=6, seed=0, in
+# CHECKS order
 CLEAN_INSTANCES = [6, 6, 6, 6, 6, 3, 15, 3, 6, 6, 6, 6, 6, 6, 9, 15, 5, 9,
                    89, 81, 52, 89, 256, 25, 3, 3, 5, 3, 3]
 
@@ -362,13 +368,14 @@ SEAM_CALLS = {
 }
 
 
-def _report(inp):
+def _report(lo=0, hi=None):
     return [(r.name, r.instances, r.passed, r.worst_deviation,
-             r.counterexample) for r in (fn(inp) for fn in verify.CHECKS)]
+             r.counterexample) for r in verify.run_cases(
+        None, 6, 0, lo=lo, hi=hi)]
 
 
 def test_clean_inputs_pass_every_check_with_the_pinned_instance_counts():
-    report = _report(verify.build_inputs(None, 6, 0))
+    report = _report()
     assert [(n, ok, ce) for _name, n, ok, _worst, ce in report] == [
         (n, True, None) for n in CLEAN_INSTANCES]
 
@@ -384,7 +391,7 @@ def test_each_fault_fails_exactly_its_checks_at_the_pinned_instance(
         return fake(*args, **kwargs)
 
     monkeypatch.setattr(verify, seam, counted)
-    report = _report(verify.build_inputs(None, 6, 0))
+    report = _report()
     assert calls[seam] == SEAM_CALLS[seam]
     want = FAILED[seam]
     assert set(want) <= {name for name, *_rest in report}
@@ -396,3 +403,23 @@ def test_each_fault_fails_exactly_its_checks_at_the_pinned_instance(
                 name, pinned_n, False, repr(pinned_worst), pinned_ce)
         else:
             assert (name, n, ok, ce) == (name, clean_n, True, None)
+
+
+@pytest.mark.parametrize("seam", [None, *sorted(FAULTS)])
+def test_merged_tallies_of_case_ranges_equal_the_single_range_tallies(
+        monkeypatch, seam):
+    if seam is not None:
+        monkeypatch.setattr(verify, seam, FAULTS[seam](getattr(verify, seam)))
+
+    def rows(results):
+        return [(r.name, r.instances, r.passed, repr(r.worst_deviation),
+                 r.counterexample) for r in results]
+
+    # the 10 cases: the delay-reduction pairs, random cases 0-5, scn-0,
+    # scn-1 and scn-single
+    whole = rows(verify.run_cases(None, 6, 0))
+    for cuts in ((4, 8), (2, 6, 9)):
+        bounds = (0, *cuts, None)
+        assert rows(verify.merge_tallies([
+            verify.run_cases(None, 6, 0, lo=lo, hi=hi)
+            for lo, hi in zip(bounds, bounds[1:])])) == whole
