@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
+from operator import getitem
 
 from .belief import (
     BELIEF_TOL,
@@ -64,7 +64,6 @@ class SolveResult:
     value: float
     argmin: Policy | FullStrategy
     candidates: int
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,10 @@ def _realize(raw: tuple[RawLabel, ...], values) -> Realization:
 class _Engine:
     """Precomputed tables and particle propagation for the DFS solvers.
 
-    A particle is (prob, x, ys, us, memkeys, cost): one class of primitive
-    assignments that agree on everything decision-relevant so far. Particles
-    with identical histories are merged, which keeps their number at the
-    count of distinguishable trajectory prefixes.
+    A particle is (prob, x, ys, us, cost): one class of primitive assignments
+    that agree on everything decision-relevant so far. Particles with
+    identical histories are merged, which keeps their number at the count of
+    distinguishable trajectory prefixes.
     """
 
     def __init__(self, s: Scenario, d: DelayMatrix):
@@ -153,55 +152,44 @@ class _Engine:
                     p *= pv
                 prof.append((tuple(v for v, _ in vs), p))
             self.vprof.append(prof)
-        # new memory labels per (agent, t); memkeys grow by these slices
-        self.newlab: dict[int, list[tuple[RawLabel, ...]]] = {}
+        # memory labels per (agent, t), in the order they arrive
         self.memlab: dict[int, list[tuple[RawLabel, ...]]] = {}
         for k in s.agents():
-            news, alls = [], []
+            alls = []
             prev = None
             for t in range(T + 1):
                 cur = memory_labels(d, k, t)
                 fresh = cur if prev is None else cur.difference(prev)
-                news.append(_raw(fresh))
                 alls.append((alls[-1] if alls else ()) + _raw(fresh))
                 prev = cur
-            self.newlab[k] = news
             self.memlab[k] = alls
 
     def initial_particles(self):
         empty = tuple(() for _ in range(self.K))
-        return [(p, x0, empty, empty, empty, 0.0)
+        return [(p, x0, empty, empty, 0.0)
                 for x0, p in self.s.init_dist.support()]
 
     def observe(self, t: int, particles):
-        """Branch over sensor noises, extend observations and memory keys."""
+        """Branch over sensor noises and extend the observations."""
         merged: dict = {}
-        for (p, x, ys, us, mks, c) in particles:
+        for (p, x, ys, us, c) in particles:
             for vprofile, pv in self.vprof[t]:
                 ys2 = tuple(ys[j] + (self.obsf[t][(j + 1, x, vprofile[j])],)
                             for j in range(self.K))
                 key = (x, ys2, us, c)
                 entry = merged.get(key)
                 if entry is None:
-                    mks2 = tuple(
-                        mks[j] + tuple(_value_of(ys2, us, lbl)
-                                       for lbl in self.newlab[j + 1][t])
-                        for j in range(self.K))
-                    merged[key] = [p * pv, x, ys2, us, mks2, c]
+                    merged[key] = [p * pv, x, ys2, us, c]
                 else:
                     entry[0] += p * pv
         return [tuple(e) for _, e in sorted(merged.items())]
 
     def advance(self, t: int, particles, u_list):
-        """Apply actions, add stage costs, branch over the system noise."""
-        if t == self.T:  # the post-horizon state never affects the cost
-            out = []
-            for (p, x, ys, us, mks, c), u in zip(particles, u_list):
-                us2 = tuple(us[j] + (u[j],) for j in range(self.K))
-                out.append((p, x, ys, us2, mks, c + self.cost[t][(x, u)]))
-            return out
+        """Apply actions, add stage costs, branch over the system noise.
+        Only stages before the horizon advance: the last stage's cost is
+        added at the leaves of ``_Search.visit``."""
         merged: dict = {}
-        for (p, x, ys, us, mks, c), u in zip(particles, u_list):
+        for (p, x, ys, us, c), u in zip(particles, u_list):
             us2 = tuple(us[j] + (u[j],) for j in range(self.K))
             c2 = c + self.cost[t][(x, u)]
             for w, pw in self.wsup[t]:
@@ -209,7 +197,7 @@ class _Engine:
                 key = (x2, ys, us2, c2)
                 entry = merged.get(key)
                 if entry is None:
-                    merged[key] = [p * pw, x2, ys, us2, mks, c2]
+                    merged[key] = [p * pw, x2, ys, us2, c2]
                 else:
                     entry[0] += p * pw
         return [tuple(e) for _, e in sorted(merged.items())]
@@ -222,7 +210,9 @@ class _Search:
     action may depend on at t, each particle's cell index per agent, and any
     extra data the caller needs to read the chosen tables back. Branches are
     visited in canonical order (time, agent, cell, action) and ties keep the
-    first candidate. After ``visit(0, eng.initial_particles())``,
+    first candidate. At the horizon every branch is a leaf whose value is
+    ``sum(p * (c + cost))`` over the particles, in particle order. After
+    ``visit(0, eng.initial_particles())``,
     ``best_value`` is the least expected cost, ``best_snapshot`` the (t,
     cells, extra, branch) choices attaining it per stage, and ``count`` the
     number of candidates. The recursion goes through the instance, not a
@@ -238,28 +228,30 @@ class _Search:
         self.count = 0
 
     def visit(self, t: int, particles) -> None:
-        eng, K = self.eng, self.eng.K
-        if t > eng.T:
-            self.count += 1
-            if self.count > self.policy_cap:
-                raise EnumerationCapExceeded(self.what, self.count,
-                                             self.policy_cap, exact=False)
-            value = sum(p * c for (p, _x, _ys, _us, _mks, c) in particles)
-            if value < self.best_value:
-                self.best_value = value
-                self.best_snapshot = list(self.stack)
-            return
+        eng = self.eng
         parts = eng.observe(t, particles)
         cells, pcell, extra = self.stage_cells(t, parts)
         option_lists = [
             list(itertools.product(eng.actions[t][j], repeat=len(cells[j])))
-            for j in range(K)
+            for j in range(eng.K)
         ]
+        cost = eng.cost[t]
         for branch in itertools.product(*option_lists):
-            u_list = [tuple(branch[j][ix[j]] for j in range(K)) for ix in pcell]
-            self.stack.append((t, cells, extra, branch))
-            self.visit(t + 1, eng.advance(t, parts, u_list))
-            self.stack.pop()
+            u_list = [tuple(map(getitem, branch, ix)) for ix in pcell]
+            if t < eng.T:
+                self.stack.append((t, cells, extra, branch))
+                self.visit(t + 1, eng.advance(t, parts, u_list))
+                self.stack.pop()
+                continue
+            self.count += 1
+            if self.count > self.policy_cap:
+                raise EnumerationCapExceeded(self.what, self.count,
+                                             self.policy_cap, exact=False)
+            value = sum([p * (c + cost[(x, u)])
+                         for (p, x, _ys, _us, c), u in zip(parts, u_list)])
+            if value < self.best_value:
+                self.best_value = value
+                self.best_snapshot = self.stack + [(t, cells, extra, branch)]
 
 
 def _search(eng: _Engine, stage_cells, what: str, policy_cap: int):
@@ -298,13 +290,15 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
     earlier stages. Ties keep the first candidate in canonical order (time,
     then agent, then realization, then action).
     """
-    start = time.perf_counter()
     eng = _Engine(s, d)
     K = eng.K
 
     def memkeys(t: int, parts):
-        reach = [sorted({pt[4][j] for pt in parts}) for j in range(K)]
-        pidx = [tuple(reach[j].index(pt[4][j]) for j in range(K)) for pt in parts]
+        keys = [[tuple(_value_of(pt[2], pt[3], lbl) for lbl in eng.memlab[j][t])
+                 for pt in parts] for j in range(1, K + 1)]
+        reach = [sorted(set(ks)) for ks in keys]
+        pidx = [tuple(r.index(key) for r, key in zip(reach, pkeys))
+                for pkeys in zip(*keys)]
         return reach, pidx, None
 
     value, snapshot, count = _search(eng, memkeys, "policy candidates",
@@ -316,8 +310,7 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
                 policy.set_action(j + 1, t,
                                   _realize(eng.memlab[j + 1][t], memkey), u)
     return SolveResult(method="brute", agent=None, value=value,
-                       argmin=policy, candidates=count,
-                       seconds=time.perf_counter() - start)
+                       argmin=policy, candidates=count)
 
 
 # -- common-information dynamic programming ------------------------------------
@@ -345,7 +338,6 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     each option's stage cost and successors, not the prescription, and the
     read-out enumerates a reached node's options again to take the greedy one.
     """
-    start = time.perf_counter()
     K, T = s.agent_count, s.horizon
     doms = [[prescription_domain(d, K, j, t) for j in s.agents()]
             for t in s.times()]
@@ -426,8 +418,7 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
         frontier = later
     return SolveResult(method="common-info", agent=None, value=total,
                        argmin=_total_strategy(s, d, K, parts, assign_cap),
-                       candidates=candidates,
-                       seconds=time.perf_counter() - start)
+                       candidates=candidates)
 
 
 # -- structural-form exhaustive search ------------------------------------------
@@ -444,7 +435,6 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
     meant to be compared against the exhaustive policy optimum by the caller;
     a gap is reported, never asserted away.
     """
-    start = time.perf_counter()
     eng = _Engine(s, d)
     K, T = eng.K, eng.T
     watchers = list(range(k, K + 1))  # agents whose beliefs can be conditioned on
@@ -520,8 +510,7 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                                          default=s.action_space(j, t).values[0])
     return SolveResult(method="structural", agent=k, value=value,
                        argmin=_total_strategy(s, d, k, parts_out, assign_cap),
-                       candidates=count,
-                       seconds=time.perf_counter() - start)
+                       candidates=count)
 
 
 def domain_comparison(s: Scenario, d: DelayMatrix) -> DomainReport:

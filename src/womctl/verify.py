@@ -21,7 +21,7 @@ from .belief import (
     BeliefState,
     SufficientState,
     belief_linf,
-    belief_update,
+    belief_successors,
     conditional_beliefs,
     stage_cost_hat,
     state_step,
@@ -633,7 +633,8 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
     tree of each agent of the case. A root's chained belief is its direct
     conditioning on the empty prescription history; every other node's is
     the filter update of its parent's, and every node carries its own direct
-    conditioning as ``node.belief``."""
+    conditioning as ``node.belief``. An outcome that the filter gives
+    probability 0 gets the empty belief, which fails the chain check."""
     _idx, name, _topo, d, s = case.scenario
     for k in s.agents():
         roots, nodes = history_tree(s, d, k, case.assign_cap,
@@ -656,12 +657,14 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
                 markov_rid = _belief_reps_intern(markov_reps, pi)
             for theta, edges in zip(node.theta_options, node.children):
                 tkey = theta_fingerprint(theta)
+                posterior = {z: b for z, _pz, b
+                             in belief_successors(s, d, pi, theta)}
                 # successor law from the history itself: conditional
                 # probability of each outcome times the successor class
                 law = {}
                 for z, w, child in edges:
-                    nxt = chained[id(child)] = belief_update(
-                        s, d, pi, theta, z)
+                    nxt = chained[id(child)] = posterior.get(z) or BeliefState(
+                        owner=k, time=node.time + 1, probs={})
                     first = seen.setdefault(
                         (node.time, rid, tkey, z.items), nxt)
                     independent.see(0.0 if first is nxt

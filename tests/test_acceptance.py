@@ -134,21 +134,39 @@ GOLDEN_ARGMINS = {
 }
 
 
+# float.hex of each solver's value: summation order can move the last bit
+GOLDEN_VALUES = {
+    "brute-A": "0x1.767a0f9096bb9p-1",
+    "dp-A": "0x1.767a0f9096bbbp-1",
+    "struct-A-1": "0x1.767a0f9096bb9p-1",
+    "struct-A-2": "0x1.767a0f9096bb9p-1",
+    "brute-B": "0x1.27ae147ae147cp-1",
+    "dp-B": "0x1.27ae147ae14cfp-1",
+    "struct-B-1": "0x1.27ae147ae147cp-1",
+    "struct-B-2": "0x1.27ae147ae147cp-1",
+    "struct-B-3": "0x1.27ae147ae147cp-1",
+}
+
+
 def test_solver_argmins_match_golden_hashes(inst_a, inst_b, solved):
     def sha(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    got = {}
+    got, values = {}, {}
     for name, (_topo, s, d) in (("A", inst_a), ("B", inst_b)):
         br = solved(f"brute-{name}", lambda s=s, d=d: brute_force_optimal(s, d))
         got[f"brute-{name}"] = sha(dump_json(policy_json(br.argmin)))
+        values[f"brute-{name}"] = br.value.hex()
         dp = solved(f"dp-{name}", lambda s=s, d=d: common_info_dp(s, d))
         got[f"dp-{name}"] = sha(dump_json(strategy_json(s, dp.argmin)))
+        values[f"dp-{name}"] = dp.value.hex()
         for k in s.agents():
             st = solved(f"struct-{name}-{k}",
                         lambda s=s, d=d, k=k: structural_search(s, d, k))
             got[f"struct-{name}-{k}"] = sha(dump_json(strategy_json(s, st.argmin)))
+            values[f"struct-{name}-{k}"] = st.value.hex()
     assert got == GOLDEN_ARGMINS
+    assert values == GOLDEN_VALUES
 
 
 def _chained_walk(s, d, roots):

@@ -363,3 +363,41 @@ def test_numeric_options_out_of_range_are_input_errors(args, env_cap, message):
     r = subprocess.run([sys.executable, "-m", "womctl", *args],
                        capture_output=True, text=True, env=env)
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_solve_timings_add_only_a_seconds_field(tmp_path):
+    f = tmp_path / "tiny.wom"
+    f.write_text(TINY, encoding="utf-8")
+    for method in ("brute", "common-info", "structural"):
+        plain = womctl("solve", "--scenario", str(f), "--method", method)
+        timed = womctl("solve", "--scenario", str(f), "--method", method,
+                       "--timings")
+        assert plain.returncode == timed.returncode == 0
+        doc = json.loads(timed.stdout)
+        assert doc.pop("seconds") >= 0.0
+        assert doc == json.loads(plain.stdout)
+        assert "seconds" not in plain.stdout
+
+
+def test_compare_timings_fill_only_the_seconds_column(tmp_path):
+    f = tmp_path / "tiny.wom"
+    f.write_text(TINY, encoding="utf-8")
+    plain = womctl("compare", "--scenario", str(f))
+    timed = womctl("compare", "--scenario", str(f), "--timings")
+    assert plain.returncode == timed.returncode == 0
+    assert plain.stdout == (
+        "method,value,candidates,seconds,match_brute\n"
+        "brute,0.26,4,,yes\n"
+        "common-info,0.26,4,,yes\n"
+        "structural-k1,0.26,4,,yes\n")
+    rows = [line.split(",") for line in timed.stdout.splitlines()]
+    for row in rows[1:]:
+        assert float(row[3]) >= 0.0
+        row[3] = ""
+    assert "\n".join(map(",".join, rows)) + "\n" == plain.stdout
+
+
+def test_export_strategy_rejects_the_brute_method():
+    r = womctl("export-strategy", "--scenario", INSTANCE_A, "--method", "brute")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "invalid choice: 'brute'" in r.stderr

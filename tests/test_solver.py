@@ -298,6 +298,26 @@ def test_policy_cap_aborts_brute_force(inst_a):
     assert e.value.cap == 1000
 
 
+def test_last_stage_is_evaluated_without_advance(monkeypatch):
+    # the DFS observes at the horizon, but its leaves add the last stage cost
+    # themselves: no particle is advanced past T
+    topo, s = loads_scenario(ONE_SHOT.replace("T 0", "T 1"))
+    d = min_delay_matrix(topo)
+    calls = []
+    for name in ("observe", "advance"):
+        real = getattr(solver._Engine, name)
+
+        def spy(eng, t, *args, name=name, real=real):
+            calls.append((name, t))
+            return real(eng, t, *args)
+        monkeypatch.setattr(solver._Engine, name, spy)
+    for run in (brute_force_optimal, lambda s, d: structural_search(s, d, 1)):
+        calls.clear()
+        run(s, d)
+        assert ("observe", 1) in calls and ("advance", 0) in calls
+        assert ("advance", 1) not in calls
+
+
 def test_candidate_count_is_exact_on_instance_a(inst_a):
     _topo, s, d = inst_a
     res = brute_force_optimal(s, d)

@@ -8,12 +8,14 @@ with their usual instance counts.
 
 import dataclasses
 import gc
+import json
 from collections import Counter
 
 import pytest
 
 import womctl.verify as verify
 from womctl.belief import BELIEF_TOL, SufficientState, sufficient_info_labels
+from womctl.cli import main
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a
 from womctl.infostruct import Realization, accessible_labels, memory_labels
@@ -36,15 +38,16 @@ def _check(results, name):
 
 def test_skewed_filter_update_fails_the_chain_and_normalization_checks(
         monkeypatch):
-    real = verify.belief_update
+    real = verify.belief_successors
 
     def skewed(*args, **kwargs):
         out = real(*args, **kwargs)
-        st = next(iter(out.probs))
-        out.probs[st] *= 1 + 1e-6
+        for _z, _pz, posterior in out:
+            st = next(iter(posterior.probs))
+            posterior.probs[st] *= 1 + 1e-6
         return out
 
-    monkeypatch.setattr(verify, "belief_update", skewed)
+    monkeypatch.setattr(verify, "belief_successors", skewed)
     results = _results(1)
     assert _check(results, "filter_chain_matches_direct_conditioning") == (
         "filter_chain_matches_direct_conditioning", 2, False, SCN0_AGENT1_T1)
@@ -54,6 +57,28 @@ def test_skewed_filter_update_fails_the_chain_and_normalization_checks(
         "filter_output_strategy_independent", 81, True, None)
     assert _check(results, "belief_evolution_markov") == (
         "belief_evolution_markov", 52, True, None)
+
+
+def test_filter_that_loses_an_outcome_fails_the_chain_check(monkeypatch,
+                                                            capsys):
+    # an outcome of the history tree that the filter gives probability 0 is
+    # a failed check with a counterexample, not an input error
+    real = verify.belief_successors
+
+    def lossy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out[:-1] if len(out) > 1 else out
+
+    monkeypatch.setattr(verify, "belief_successors", lossy)
+    assert main(["verify", "--random", "1", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = {c["name"]: (c["instances"], c["worst_deviation"],
+                          c["counterexample"])
+              for c in json.loads(out)["checks"] if not c["passed"]}
+    assert failed == {
+        "filter_chain_matches_direct_conditioning": (4, 1.0, SCN0_AGENT1_T1),
+        "belief_normalization": (4, 1.0, SCN0_AGENT1_T1)}
 
 
 def test_offset_dp_value_fails_the_dp_checks_only(monkeypatch):
