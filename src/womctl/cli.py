@@ -142,6 +142,8 @@ def cmd_belief(args) -> int:
             payload = json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as e:
             raise WomctlError(f"history file is not valid JSON: {e}") from None
+        except RecursionError:
+            raise WomctlError("history file nests too deeply") from None
     if not isinstance(payload, dict):
         raise WomctlError("history file must hold a JSON object with "
                           "'accessible' and 'prescriptions'")

@@ -23,15 +23,19 @@ from .scenario import Policy, Scenario
 from .topology import DelayMatrix
 from .belief import BeliefState
 
-_LABEL_RE = re.compile(r"^([yu])(\d+)@(\d+)$")
+_LABEL_RE = re.compile(r"^([yu])([0-9]+)@([0-9]+)$")
 
 
 def parse_label(text: str) -> VarLabel:
     m = _LABEL_RE.match(text.strip())
+    if m:
+        try:
+            agent, time = int(m.group(2)), int(m.group(3))
+        except ValueError:  # more digits than int() converts
+            m = None
     if not m:
         raise WomctlError(f"bad label {text!r}; expected y<agent>@<t> or u<agent>@<t>")
-    make = obs if m.group(1) == "y" else act
-    return make(int(m.group(2)), int(m.group(3)))
+    return (obs if m.group(1) == "y" else act)(agent, time)
 
 
 def label_obj(l: VarLabel) -> dict:
@@ -52,6 +56,10 @@ def parse_realization(text: str) -> Realization:
         if "=" not in piece:
             raise WomctlError(f"bad realization component {piece!r}")
         lbl, val = piece.split("=", 1)
+        # values are scenario tokens: printable and free of whitespace
+        if val.split() != [val] or not val.isprintable():
+            raise WomctlError(f"bad value {val!r} in realization component "
+                              f"{piece!r}")
         label = parse_label(lbl)
         if label in items:
             raise WomctlError(f"label {label} given twice")

@@ -147,7 +147,9 @@ def replay_memory(t: Topology, k: int, time: int) -> InfoSet:
 @dataclass
 class HistoryNode:
     """One reachable conditioning class: shared realization + prescriptions,
-    with its probability and the sufficient-state conditional given both."""
+    with its probability and the sufficient-state conditional given both.
+    Below the horizon each prescription option carries its own edges; a
+    leaf holds no options, as nothing reads them there."""
 
     agent: int
     time: int
@@ -155,9 +157,19 @@ class HistoryNode:
     thetas: tuple[CompletePrescription, ...]
     weight: float
     belief: BeliefState
-    theta_options: list[CompletePrescription] = field(default_factory=list)
-    children: list[list[tuple[Realization, float, "HistoryNode"]]] = field(
-        default_factory=list)
+    children: list[tuple[CompletePrescription,
+                         list[tuple[Realization, float, "HistoryNode"]]]] = (
+        field(default_factory=list))
+
+
+def node_prescriptions(s: Scenario, d: DelayMatrix,
+                       node: HistoryNode) -> list[CompletePrescription]:
+    """The node's prescription options: those that differ on its belief's
+    support, since entries off it cannot change the conditioning."""
+    k, t = node.agent, node.time
+    doms = [prescription_domain(d, k, j, t) for j in s.agents()]
+    return list(support_prescriptions(s, k, t, doms, [
+        {st.info.restrict(dom) for st in node.belief.probs} for dom in doms]))
 
 
 def history_tree(s: Scenario, d: DelayMatrix, k: int,
@@ -186,24 +198,19 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
                 "conditioning histories", len(all_nodes), node_cap,
                 exact=False)
         t, a = node.time, node.accessible
-        # entries off the belief's support cannot change the conditioning
-        doms = [prescription_domain(d, k, j, t) for j in s.agents()]
-        node.theta_options = list(support_prescriptions(s, k, t, doms, [
-            {st.info.restrict(dom) for st in node.belief.probs}
-            for dom in doms]))
         if t == s.horizon:
             continue
         z_labels = new_info_labels(d, k, t + 1)
-        for theta in node.theta_options:
+        for theta in node_prescriptions(s, d, node):
             thetas2 = node.thetas + (theta,)
-            node.children.append([
+            node.children.append((theta, [
                 (a2.restrict(z_labels), pa2,
                  HistoryNode(agent=k, time=t + 1, accessible=a2,
                              thetas=thetas2, weight=pa2, belief=pi2))
                 for a2, pa2, pi2 in conditional_beliefs(
                     s, d, k, thetas2, assign_cap)
-                if a2.restrict(a.domain) == a])
-        stack.extend(child for edges in reversed(node.children)
+                if a2.restrict(a.domain) == a]))
+        stack.extend(child for _theta, edges in reversed(node.children)
                      for _z, _w, child in reversed(edges))
     return roots, all_nodes
 
@@ -655,7 +662,7 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
             rid = _belief_reps_intern(reps, pi)
             if node.time < s.horizon:
                 markov_rid = _belief_reps_intern(markov_reps, pi)
-            for theta, edges in zip(node.theta_options, node.children):
+            for theta, edges in node.children:
                 tkey = theta_fingerprint(theta)
                 posterior = {z: b for z, _pz, b
                              in belief_successors(s, d, pi, theta)}

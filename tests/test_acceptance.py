@@ -56,7 +56,7 @@ from womctl.solver import (
     structural_search,
 )
 from womctl.topology import min_delay_matrix
-from womctl.verify import history_tree, theta_fingerprint
+from womctl.verify import history_tree, node_prescriptions, theta_fingerprint
 
 from oracles import node_members, simple_path_min_delays
 
@@ -174,8 +174,7 @@ def _chained_walk(s, d, roots):
 
     def walk(node, pi):
         out.append((node, pi))
-        for ti, edges in enumerate(node.children):
-            theta = node.theta_options[ti]
+        for theta, edges in node.children:
             for z, _w, child in edges:
                 walk(child, belief_update(s, d, pi, theta, z))
 
@@ -218,8 +217,7 @@ def test_criterion_5_markov_property(inst_a):
             if node.time >= s.horizon:
                 continue
             rid = rep_of(pi)
-            for ti, edges in enumerate(node.children):
-                theta = node.theta_options[ti]
+            for theta, edges in node.children:
                 law = {}
                 for z, w, _child in edges:
                     nxt = rep_of(belief_update(s, d, pi, theta, z))
@@ -246,7 +244,7 @@ def test_criterion_6_expected_cost_property(inst_a):
         for node, pi in _chained_walk(s, d, roots):
             members = node_members(s, d, node)
             mass = sum(p for p, _x, _values in members)
-            for theta in node.theta_options:
+            for theta in node_prescriptions(s, d, node):
                 pairs += 1
                 by_enum = 0.0
                 for p, x, values in members:

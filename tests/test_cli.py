@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from womctl import cli
 from womctl.fixtures import fixture_path, instance_a
 from womctl.infostruct import Kind, accessible_labels, enumerate_realizations
 from womctl.prescription import prescription_domain
@@ -262,6 +266,36 @@ def test_belief_command_rejects_a_repeated_label(tmp_path):
         2, "", "error: label y1@0 given twice\n")
 
 
+_LONG_LABEL = "y2@" + "0" * 5000
+
+
+@pytest.mark.parametrize("accessible, message", [
+    ("y1@0=a\nb,y2@0=a",
+     "bad value 'a\\nb' in realization component 'y1@0=a\\nb'"),
+    (f"y1@0=a,{_LONG_LABEL}=a", f"bad label {_LONG_LABEL!r}; expected "
+     "y<agent>@<t> or u<agent>@<t>"),
+    ("y1@0=a,y2@\u0663=a",
+     "bad label 'y2@\u0663'; expected y<agent>@<t> or u<agent>@<t>"),
+], ids=["newline-in-value", "too-many-digits", "non-ascii-digit"])
+def test_belief_command_rejects_an_unreadable_realization(tmp_path, accessible,
+                                                          message):
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps(dict(_play_u0_doc(1), accessible=accessible)),
+                       encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_belief_command_rejects_a_deeply_nested_history(tmp_path):
+    history = tmp_path / "history.json"
+    history.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history))
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "error: history file nests too deeply\n")
+
+
 _STEP = ('{"1": {"y1@0=a": "u0", "y1@0=b": "u1"}, '
          '"2": {"y2@0=a": "u0", "y2@0=b": "u1"}%s}')
 
@@ -282,20 +316,23 @@ def test_belief_command_rejects_an_ambiguous_history_step(tmp_path, step, messag
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
-def _play_u0_history(steps: int) -> str:
-    """A history file for agent 2 on instance_a: every prescription plays u0,
+def _play_u0_doc(steps: int, agent: int = 2) -> dict:
+    """A history of the agent on instance_a: every prescription plays u0,
     and in the shared realization every agent saw `a` and played u0."""
     topo, s = instance_a()
     d = min_delay_matrix(topo)
     accessible = ",".join(
         f"{l}={'a' if l.kind == Kind.OBS else 'u0'}"
-        for l in accessible_labels(d, 2, steps))
+        for l in accessible_labels(d, agent, steps))
     prescriptions = [
         {str(j): {str(r): "u0" for r in enumerate_realizations(
-            s, prescription_domain(d, 2, j, t))} for j in s.agents()}
+            s, prescription_domain(d, agent, j, t))} for j in s.agents()}
         for t in range(steps)]
-    return json.dumps({"accessible": accessible,
-                       "prescriptions": prescriptions})
+    return {"accessible": accessible, "prescriptions": prescriptions}
+
+
+def _play_u0_history(steps: int) -> str:
+    return json.dumps(_play_u0_doc(steps))
 
 
 def test_belief_command_rejects_an_unknown_history_key(tmp_path):
@@ -323,6 +360,102 @@ def test_belief_command_takes_at_most_horizon_steps(tmp_path):
     assert (r.returncode, r.stdout, r.stderr) == (
         2, "", "error: history has 3 prescription steps; the horizon allows "
         "at most 2\n")
+
+
+# -- history-file fuzz: edits of a valid history, at JSON and at text level --
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+              st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=6)
+# text made of the characters that labels and realizations give a meaning to
+_GRAMMAR = st.text(alphabet="yu0129@=,-ab \n\u0663", max_size=6)
+_DOC_EDITS = st.lists(st.tuples(
+    # most edits change the text of labels and realizations
+    st.sampled_from(("replace", "drop", "add")
+                    + ("insert", "cut", "repeat") * 3),
+    st.integers(0, 1000), st.integers(0, 100), _JSON, _GRAMMAR), max_size=4)
+
+
+def _slots(node, out):
+    """Every (container, key) of a JSON document, in document order."""
+    if isinstance(node, (dict, list)):
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            out.append((node, key))
+            _slots(node[key], out)
+    return out
+
+
+def _edit_text(op, text, n, piece):
+    n %= len(text) + 1
+    if op == "insert":
+        return text[:n] + piece + text[n:]
+    if op == "cut":
+        return text[:n]
+    return text[:n] + piece[:1] * 5000 + text[n:]  # "repeat": long labels
+
+
+def _edited_history(doc, edits):
+    """``doc`` after the edits. A text edit changes the shared realization
+    (even ``i``) or a key below the top level: an agent of a step or a
+    realization of a table."""
+    for op, i, n, value, piece in edits:
+        slots = _slots(doc, [])
+        if op in ("insert", "cut", "repeat"):
+            keys = [(parent, key) for parent, key in slots
+                    if isinstance(parent, dict) and parent is not doc]
+            if i % 2 == 0 and isinstance(doc, dict) and isinstance(
+                    doc.get("accessible"), str):
+                doc["accessible"] = _edit_text(op, doc["accessible"], n, piece)
+            elif keys:
+                parent, key = keys[i // 2 % len(keys)]
+                parent[_edit_text(op, key, n, piece)] = parent.pop(key)
+        elif not slots:
+            doc = value
+        else:
+            parent, key = slots[i % len(slots)]
+            if op == "replace":
+                parent[key] = value
+            elif op == "drop":
+                del parent[key]
+            elif isinstance(parent, dict):
+                parent[piece] = value
+            else:
+                parent.insert(key, value)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def history_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "history.json"
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.sampled_from((1, 2)), st.integers(0, 2), _DOC_EDITS,
+       st.sampled_from(("whole",) * 4 + ("cut", "nest")),
+       st.integers(0, 10 ** 4))
+def test_edited_history_file_gives_a_belief_or_one_error_line(
+        history_path, agent, steps, edits, shape, n):
+    text = json.dumps(_edited_history(_play_u0_doc(steps, agent), edits))
+    if shape == "cut":
+        text = text[:n % (len(text) + 1)]
+    elif shape == "nest":
+        text = "[" * n + text + "]" * n
+    history_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["belief", "--scenario", INSTANCE_A, "--agent",
+                         str(agent), "--history", str(history_path)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["agent"] == agent
+    else:
+        assert code == 2 and out.getvalue() == ""
+        first, *rest = err.getvalue().split("\n")
+        assert first.startswith("error: ") and rest == [""], err.getvalue()
 
 
 @pytest.mark.parametrize("row, key", [

@@ -195,25 +195,35 @@ def test_case_ranges_are_contiguous_and_never_empty():
 
 def _tree_cases():
     topo, s = instance_a()
-    yield pytest.param(s, min_delay_matrix(topo), id="instance_a")
+    # prescriptions stored per agent: inner nodes only (312 and 5,712 when
+    # the leaves held theirs too)
+    yield pytest.param(s, min_delay_matrix(topo), {1: 56, 2: 336},
+                       id="instance_a")
     for case in verify.build_inputs(None, 6, 0):
         if case.scenario:
             _idx, name, _topo, d, s = case.scenario
-            yield pytest.param(s, d, id=name)
+            yield pytest.param(s, d, None, id=name)
 
 
-@pytest.mark.parametrize("s, d", _tree_cases())
-def test_history_tree_matches_the_member_replay(s, d):
+@pytest.mark.parametrize("s, d, stored", _tree_cases())
+def test_history_tree_matches_the_member_replay(s, d, stored):
     for k in s.agents():
         _roots, nodes = verify.history_tree(s, d, k)
+        if stored:
+            assert sum(len(n.children) for n in nodes) == stored[k]
         oracle = member_history_tree(s, d, k)
-        assert [(n.time, n.accessible, n.thetas, n.theta_options)
-                for n in nodes] == [
+        assert [(n.time, n.accessible, n.thetas,
+                 verify.node_prescriptions(s, d, n)) for n in nodes] == [
             (o.time, o.accessible, o.thetas, o.theta_options) for o in oracle]
         for node, want in zip(nodes, oracle):
+            if node.time == s.horizon:
+                assert node.children == []
+            else:
+                assert [theta for theta, _edges in node.children
+                        ] == want.theta_options
             assert [[z for z, _w, _child in edges]
-                    for edges in node.children] == want.edge_labels
-            for theta, edges in zip(node.theta_options, node.children):
+                    for _theta, edges in node.children] == want.edge_labels
+            for theta, edges in node.children:
                 for z, w, child in edges:
                     assert (child.thetas, child.accessible, w) == (
                         node.thetas + (theta,), node.accessible.merge(z),
