@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     DomainMismatch,
@@ -31,7 +32,12 @@ from .infostruct import (
     new_info_labels,
     obs as obs_label,
 )
-from .prescription import CompletePrescription, act, prescription_domain
+from .prescription import (
+    CompletePrescription,
+    act,
+    prescription_domain,
+    support_prescriptions,
+)
 from .scenario import Scenario, enumerate_primitives
 from .topology import DelayMatrix
 
@@ -175,6 +181,17 @@ def expected_cost(s: Scenario, pi: BeliefState, theta: CompletePrescription,
                   d: DelayMatrix) -> float:
     """Expected stage cost under a belief, as a function of (belief, input)."""
     return sum(p * stage_cost_hat(s, st, theta, d) for st, p in pi.support())
+
+
+def belief_prescriptions(s: Scenario, d: DelayMatrix, pi: BeliefState
+                         ) -> Iterator[CompletePrescription]:
+    """The owner's complete prescriptions at ``pi.time`` that differ on the
+    support of ``pi``, in canonical order: entries off it cannot change the
+    expected cost or the filter."""
+    k, t = pi.owner, pi.time
+    doms = [prescription_domain(d, k, j, t) for j in s.agents()]
+    return support_prescriptions(s, k, t, doms, [
+        {st.info.restrict(dom) for st, _p in pi.support()} for dom in doms])
 
 
 def belief_successors(s: Scenario, d: DelayMatrix, pi: BeliefState,

@@ -301,6 +301,7 @@ def enumerate_primitives(s: Scenario, cap: int = DEFAULT_ENUM_CAP
             pw = px
             for _, p in ws:
                 pw *= p
+            w = tuple(value for value, _p in ws)  # one tuple for every vs below
             for vs in itertools.product(*v_axes):
                 p = pw
                 for _, pv in vs:
@@ -309,8 +310,7 @@ def enumerate_primitives(s: Scenario, cap: int = DEFAULT_ENUM_CAP
                     tuple(vs[k * (T + 1) + t][0] for t in range(T + 1))
                     for k in range(s.agent_count)
                 )
-                out.append(PrimitiveAssignment(
-                    x0=x0, w=tuple(w for w, _ in ws), v=v, prob=p))
+                out.append(PrimitiveAssignment(x0=x0, w=w, v=v, prob=p))
     return out
 
 

@@ -11,7 +11,15 @@ import json
 import re
 
 from .errors import WomctlError
-from .infostruct import InfoSet, Kind, Realization, VarLabel, act, obs
+from .infostruct import (
+    InfoSet,
+    Kind,
+    Realization,
+    VarLabel,
+    act,
+    label_space,
+    obs,
+)
 from .prescription import (
     CompletePrescription,
     FullStrategy,
@@ -146,6 +154,12 @@ def parse_prescriptions(s: Scenario, d: DelayMatrix, k: int,
                     raise WomctlError(
                         f"history step {t}, agent {j}: realization {key!r} "
                         f"does not match the required domain")
+                for l, v in r.items:
+                    if v not in label_space(s, l).values:
+                        raise WomctlError(
+                            f"history step {t}, agent {j}: realization "
+                            f"{key!r} gives {l} the value {v!r}, outside "
+                            f"its space")
                 if u not in s.action_space(j, t).values:
                     raise WomctlError(f"unknown action {u!r} for agent {j}")
                 if r in table:

@@ -24,6 +24,7 @@ from .belief import (
     BELIEF_TOL,
     BeliefState,
     belief_linf,
+    belief_prescriptions,
     belief_successors,
     conditional_beliefs,
     expected_cost,
@@ -49,7 +50,6 @@ from .prescription import (
     conditioning_labels,
     prescription_domain,
     strategy_to_policy,
-    support_prescriptions,
 )
 from .scenario import Policy, Scenario, enumerate_primitives, propagate
 from .topology import DelayMatrix
@@ -339,15 +339,6 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     read-out enumerates a reached node's options again to take the greedy one.
     """
     K, T = s.agent_count, s.horizon
-    doms = [[prescription_domain(d, K, j, t) for j in s.agents()]
-            for t in s.times()]
-
-    def prescriptions(t: int, pi: BeliefState):
-        # off-support entries cannot affect cost or filtering
-        reached = [{st.info.restrict(dom) for st, _ in pi.support()}
-                   for dom in doms[t]]
-        return support_prescriptions(s, K, t, doms[t], reached)
-
     roots = conditional_beliefs(s, d, K, (), assign_cap)
     levels: list[list[BeliefState]] = [[]]
     root_nodes = [(a, pa, _belief_reps_intern(levels[0], b)) for a, pa, b in roots]
@@ -359,7 +350,7 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
         in canonical order; children are interned into ``nxt``."""
         nonlocal candidates
         rows = []
-        for theta in prescriptions(t, pi):
+        for theta in belief_prescriptions(s, d, pi):
             candidates += 1
             if candidates > policy_cap:
                 raise EnumerationCapExceeded(
@@ -408,7 +399,8 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
         for a, n in frontier:
             if n not in chosen:
                 chosen[n] = next(itertools.islice(
-                    prescriptions(t, levels[t][n]), greedy[t][n], None)).parts
+                    belief_prescriptions(s, d, levels[t][n]), greedy[t][n],
+                    None)).parts
             for j in s.agents():
                 parts[(j, t)][a] = chosen[n][j - 1]
             # the shared information of the successor class grows by the

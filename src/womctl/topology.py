@@ -74,12 +74,14 @@ class DelayMatrix:
         return range(1, self.agent_count + 1)
 
 
-def validate_topology(t: Topology) -> None:
-    """Raise a TopologyError unless ``t`` satisfies every structural invariant.
+def validate_topology(t: Topology) -> tuple[tuple[int, ...], ...]:
+    """Raise a TopologyError unless ``t`` satisfies every structural invariant;
+    otherwise return its all-pairs minimum delays, row by row.
 
     Checks, in order: agent count, link endpoints, self links, duplicate
-    ordered pairs, positive delays, and strong connectivity (the first
-    unreachable ordered pair is named in the error).
+    ordered pairs, positive delays, and strong connectivity. One
+    Floyd-Warshall pass on the link delays gives the delays, and the first
+    ordered pair it leaves unreached is named in the error.
     """
     if t.agent_count < 1:
         raise TopologyError(f"agent count must be >= 1, got {t.agent_count}")
@@ -94,41 +96,13 @@ def validate_topology(t: Topology) -> None:
         seen.add((l.src, l.dst))
         if l.delay < 1:
             raise NonPositiveDelay(l.src, l.dst, l.delay)
-    reach = _reachability(t)
-    for a, b in itertools.product(t.agents(), t.agents()):
-        if a != b and not reach[a - 1][b - 1]:
-            raise NotStronglyConnected(a, b)
-
-
-def _reachability(t: Topology) -> list[list[bool]]:
-    n = t.agent_count
-    r = [[False] * n for _ in range(n)]
-    adj: dict[int, list[int]] = {a: [] for a in t.agents()}
-    for l in t.links:
-        adj[l.src].append(l.dst)
-    for a in t.agents():
-        stack, seen = [a], {a}
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        for b in seen:
-            r[a - 1][b - 1] = True
-    return r
-
-
-def min_delay_matrix(t: Topology) -> DelayMatrix:
-    """All-pairs minimum communication delays (Floyd-Warshall on link delays)."""
-    validate_topology(t)
     n = t.agent_count
     inf = float("inf")
     d = [[inf] * n for _ in range(n)]
     for i in range(n):
         d[i][i] = 0
     for l in t.links:
-        d[l.src - 1][l.dst - 1] = min(d[l.src - 1][l.dst - 1], l.delay)
+        d[l.src - 1][l.dst - 1] = l.delay
     for m in range(n):
         for i in range(n):
             dim = d[i][m]
@@ -140,8 +114,15 @@ def min_delay_matrix(t: Topology) -> DelayMatrix:
                 alt = dim + row_m[j]
                 if alt < row_i[j]:
                     row_i[j] = alt
-    # strong connectivity guarantees every entry is finite
-    return DelayMatrix(n, tuple(tuple(int(x) for x in row) for row in d))
+    for a, b in itertools.product(t.agents(), t.agents()):
+        if d[a - 1][b - 1] == inf:
+            raise NotStronglyConnected(a, b)
+    return tuple(tuple(int(x) for x in row) for row in d)
+
+
+def min_delay_matrix(t: Topology) -> DelayMatrix:
+    """All-pairs minimum communication delays of a valid topology."""
+    return DelayMatrix(t.agent_count, validate_topology(t))
 
 
 def information_paths(t: Topology, k: int, d: DelayMatrix) -> dict[int, InfoPath]:

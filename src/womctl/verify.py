@@ -21,6 +21,7 @@ from .belief import (
     BeliefState,
     SufficientState,
     belief_linf,
+    belief_prescriptions,
     belief_successors,
     conditional_beliefs,
     stage_cost_hat,
@@ -48,7 +49,6 @@ from .prescription import (
     positional_transfer,
     prescription_domain,
     strategy_to_policy,
-    support_prescriptions,
 )
 from .randgen import (
     random_scenario,
@@ -162,16 +162,6 @@ class HistoryNode:
         field(default_factory=list))
 
 
-def node_prescriptions(s: Scenario, d: DelayMatrix,
-                       node: HistoryNode) -> list[CompletePrescription]:
-    """The node's prescription options: those that differ on its belief's
-    support, since entries off it cannot change the conditioning."""
-    k, t = node.agent, node.time
-    doms = [prescription_domain(d, k, j, t) for j in s.agents()]
-    return list(support_prescriptions(s, k, t, doms, [
-        {st.info.restrict(dom) for st in node.belief.probs} for dom in doms]))
-
-
 def history_tree(s: Scenario, d: DelayMatrix, k: int,
                  assign_cap: int = DEFAULT_ENUM_CAP,
                  node_cap: int = DEFAULT_POLICY_CAP
@@ -201,7 +191,7 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
         if t == s.horizon:
             continue
         z_labels = new_info_labels(d, k, t + 1)
-        for theta in node_prescriptions(s, d, node):
+        for theta in belief_prescriptions(s, d, node.belief):
             thetas2 = node.thetas + (theta,)
             node.children.append((theta, [
                 (a2.restrict(z_labels), pa2,
@@ -331,24 +321,42 @@ def build_inputs(scenario_path: str | None, random_n: int, seed: int,
         yield Case(seed, policy_cap, assign_cap, **parts)
 
 
+def _checks(kind: str, run, *specs) -> list:
+    """The checks on the cases with a ``kind`` part that one pass
+    ``run(case, *tallies)`` feeds, one per ``(name, description[, tol])``
+    spec and in spec order; the pass takes their tallies in that order. A
+    check takes the case and the run's tallies by name, and returns its own
+    tally. The first check runs the pass on the case while any of the pass's
+    checks is still passing; the others only return their tally."""
+    names = [spec[0] for spec in specs]
+
+    def check_for(spec):
+        name = spec[0]
+        runs_pass = name == names[0]
+
+        def check(case: Case, results) -> CheckResult:
+            tallies = [results[n] for n in names]
+            if runs_pass and any(r.passed for r in tallies):
+                run(case, *tallies)
+            return results[name]
+        check.__name__, check.kind, check.spec = name, kind, spec
+        return check
+    return [check_for(spec) for spec in specs]
+
+
 def _check(kind: str, name: str, description: str, tol: float = BELIEF_TOL):
     """Turn a generator that yields one (deviation, witness) per instance of
-    a case into check ``name`` on the cases with a ``kind`` part. A check
-    takes the case and the run's tallies by name, and adds the case's
-    instances to its own tally; the generator is not resumed after the first
-    failing instance, nor started once the check has failed."""
+    a case into check ``name``, the one check of its own pass: the generator
+    is not resumed after the first failing instance, nor started once the
+    check has failed."""
     def wrap(instances):
-        @functools.wraps(instances)
-        def check(case: Case, results) -> CheckResult:
-            result = results[name]
-            if result.passed:
-                for deviation, witness in instances(case):
-                    result.see(deviation, witness)
-                    if not result.passed:
-                        break
-            return result
-        check.kind, check.spec = kind, (name, description, tol)
-        return check
+        def run(case: Case, result: CheckResult) -> None:
+            for deviation, witness in instances(case):
+                result.see(deviation, witness)
+                if not result.passed:
+                    break
+        check, = _checks(kind, run, (name, description, tol))
+        return functools.wraps(instances)(check)
     return wrap
 
 
@@ -361,30 +369,6 @@ def _first_over(parts, tol: float = BELIEF_TOL):
             return deviation, witness
         worst = max(worst, deviation)
     return worst, None
-
-
-# pass -> names of the checks it feeds, in the order it takes their tallies
-_PASS_CHECKS: dict = {}
-
-
-def _from_pass(run, name: str, description: str, tol: float = BELIEF_TOL):
-    """Turn a stub into check ``name`` on the scenario cases, whose instances
-    the pass ``run(case, *tallies)`` sees together with the other checks it
-    feeds. The first of these checks runs the pass on each case, while any
-    of them is still passing; the others only return their tally."""
-    names = _PASS_CHECKS.setdefault(run, [])
-    names.append(name)
-
-    def wrap(stub):
-        @functools.wraps(stub)
-        def check(case: Case, results) -> CheckResult:
-            tallies = [results[n] for n in names]
-            if name == names[0] and any(r.passed for r in tallies):
-                run(case, *tallies)
-            return results[name]
-        check.kind, check.spec = "scenario", (name, description, tol)
-        return check
-    return wrap
 
 
 @_check("graph", "delay_diagonal_zero",
@@ -687,30 +671,16 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
                        {"case": name, "agent": k, "t": t})
 
 
-@_from_pass(_filter_pass, "filter_chain_matches_direct_conditioning",
-            "chained filter updates equal direct conditioning at every "
-            "history")
-def check_filter_chain_vs_scratch(case: Case, results) -> CheckResult:
-    """Chained filter updates against direct conditioning."""
-
-
-@_from_pass(_filter_pass, "filter_output_strategy_independent",
-            "filter output depends only on (belief, prescription, new info)")
-def check_filter_policy_independence(case: Case, results) -> CheckResult:
-    """One filter output per (belief, prescription, new information)."""
-
-
-@_from_pass(_filter_pass, "belief_evolution_markov",
-            "histories with equal (belief, prescription) induce equal "
-            "successor laws")
-def check_markov_property(case: Case, results) -> CheckResult:
-    """Equal (belief, prescription) pairs, equal successor laws."""
-
-
-@_from_pass(_filter_pass, "belief_normalization",
-            "every computed belief sums to one")
-def check_belief_normalization(case: Case, results) -> CheckResult:
-    """Every chained and direct belief sums to one."""
+FILTER_CHECKS = _checks(
+    "scenario", _filter_pass,
+    ("filter_chain_matches_direct_conditioning",
+     "chained filter updates equal direct conditioning at every history"),
+    ("filter_output_strategy_independent",
+     "filter output depends only on (belief, prescription, new info)"),
+    ("belief_evolution_markov",
+     "histories with equal (belief, prescription) induce equal successor "
+     "laws"),
+    ("belief_normalization", "every computed belief sums to one"))
 
 
 @_check("scenario", "sufficient_state_step_deterministic",
@@ -810,23 +780,15 @@ def _solver_pass(case: Case, dp_brute: CheckResult, greedy: CheckResult,
                             "brute": br.value, "structural": st.value})
 
 
-@_from_pass(_solver_pass, "dp_matches_brute_force",
-            "belief-space backward induction attains the exhaustive optimum")
-def check_dp_vs_brute(case: Case, results) -> CheckResult:
-    """Common-information DP value against the brute-force optimum."""
-
-
-@_from_pass(_solver_pass, "dp_greedy_strategy_reproduces_value",
-            "evaluating the greedy strategy reproduces the backward value")
-def check_dp_greedy_consistency(case: Case, results) -> CheckResult:
-    """The DP's greedy strategy evaluated against the DP value."""
-
-
-@_from_pass(_solver_pass, "structural_form_matches_brute_force",
-            "structural-form search attains the exhaustive optimum for every "
-            "agent")
-def check_structural_vs_brute(case: Case, results) -> CheckResult:
-    """Structural-form search against the brute-force optimum."""
+SOLVER_CHECKS = _checks(
+    "scenario", _solver_pass,
+    ("dp_matches_brute_force",
+     "belief-space backward induction attains the exhaustive optimum"),
+    ("dp_greedy_strategy_reproduces_value",
+     "evaluating the greedy strategy reproduces the backward value"),
+    ("structural_form_matches_brute_force",
+     "structural-form search attains the exhaustive optimum for every "
+     "agent"))
 
 
 @_check("pairs", "delay_reduction_never_increases_optimal_cost",
@@ -878,15 +840,10 @@ CHECKS = [
     check_round_trip,
     check_prescription_domains,
     check_transfer_composition,
-    check_filter_chain_vs_scratch,
-    check_filter_policy_independence,
-    check_markov_property,
-    check_belief_normalization,
+    *FILTER_CHECKS,
     check_sufficient_state_determinism,
     check_cost_equivalence,
-    check_dp_vs_brute,
-    check_dp_greedy_consistency,
-    check_structural_vs_brute,
+    *SOLVER_CHECKS,
     check_monotone_information,
     check_domain_subset_report,
 ]

@@ -16,6 +16,7 @@ import pytest
 from womctl.belief import (
     belief_from_scratch,
     belief_linf,
+    belief_prescriptions,
     belief_update,
     expected_cost,
     stage_cost_hat,
@@ -56,7 +57,7 @@ from womctl.solver import (
     structural_search,
 )
 from womctl.topology import min_delay_matrix
-from womctl.verify import history_tree, node_prescriptions, theta_fingerprint
+from womctl.verify import history_tree, theta_fingerprint
 
 from oracles import node_members, simple_path_min_delays
 
@@ -244,7 +245,7 @@ def test_criterion_6_expected_cost_property(inst_a):
         for node, pi in _chained_walk(s, d, roots):
             members = node_members(s, d, node)
             mass = sum(p for p, _x, _values in members)
-            for theta in node_prescriptions(s, d, node):
+            for theta in belief_prescriptions(s, d, node.belief):
                 pairs += 1
                 by_enum = 0.0
                 for p, x, values in members:

@@ -298,7 +298,11 @@ _STEP = ('{"1": {"y1@0=a": "u0", "y1@0=b": "u1"}, '
     (_STEP.replace('"y1@0=b"', '"y1@0=a"') % "",
      "history file gives the key 'y1@0=a' twice"),
     (_STEP % ', "3": {}', "history step 0: '3' is not an agent in 1..2"),
-], ids=["same-realization", "duplicate-json-key", "unknown-agent"])
+    (_STEP.replace('"u1"}', '"u1", "y1@0=zz": "u1"}', 1) % "",
+     "history step 0, agent 1: realization 'y1@0=zz' gives y1@0 the value "
+     "'zz', outside its space"),
+], ids=["same-realization", "duplicate-json-key", "unknown-agent",
+        "value-outside-space"])
 def test_belief_command_rejects_an_ambiguous_history_step(tmp_path, step, message):
     history = tmp_path / "history.json"
     history.write_text('{"accessible": "y1@0=a,y2@0=a", "prescriptions": [%s]}'

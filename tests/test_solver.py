@@ -354,7 +354,7 @@ def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
     _topo, s, d = inst_a
     made: list[weakref.ref] = []
     live_at_readout: list[int] = []
-    real_prescriptions = solver.support_prescriptions
+    real_prescriptions = solver.belief_prescriptions
     real_total = solver._total_strategy
 
     def tracked(*args):
@@ -367,10 +367,13 @@ def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
         live_at_readout.append(sum(ref() is not None for ref in made))
         return real_total(*args)
 
-    monkeypatch.setattr(solver, "support_prescriptions", tracked)
+    monkeypatch.setattr(solver, "belief_prescriptions", tracked)
     monkeypatch.setattr(solver, "_total_strategy", counted)
     assert common_info_dp(s, d).candidates == 176
     assert live_at_readout == [0]
+    # the spy saw every option of the forward pass, and the read-out's
+    # rebuilds up to each greedy one
+    assert len(made) == 186
 
 
 def test_common_info_argmin_attains_its_value_on_random_cases():

@@ -14,7 +14,12 @@ from collections import Counter
 import pytest
 
 import womctl.verify as verify
-from womctl.belief import BELIEF_TOL, SufficientState, sufficient_info_labels
+from womctl.belief import (
+    BELIEF_TOL,
+    SufficientState,
+    belief_prescriptions,
+    sufficient_info_labels,
+)
 from womctl.cli import main
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a
@@ -213,7 +218,8 @@ def test_history_tree_matches_the_member_replay(s, d, stored):
             assert sum(len(n.children) for n in nodes) == stored[k]
         oracle = member_history_tree(s, d, k)
         assert [(n.time, n.accessible, n.thetas,
-                 verify.node_prescriptions(s, d, n)) for n in nodes] == [
+                 list(belief_prescriptions(s, d, n.belief)))
+                for n in nodes] == [
             (o.time, o.accessible, o.thetas, o.theta_options) for o in oracle]
         for node, want in zip(nodes, oracle):
             if node.time == s.horizon:
@@ -317,6 +323,41 @@ FAULTS = {
         d, k, j, t - 1 if t >= 2 else t),
     "build_inputs": _corrupt_graph_3,
 }
+
+
+# the report name of every check, in CHECKS order
+CHECK_NAMES = [
+    "delay_diagonal_zero", "delay_triangle_inequality",
+    "delay_matrix_matches_path_enumeration",
+    "information_path_delay_matches_matrix", "delay_matrix_finite",
+    "trajectory_probability_is_primitive_product",
+    "simulate_matches_enumerated_trajectory",
+    "trajectory_stage_costs_match_cost_table",
+    "accessible_info_monotone_in_time", "accessible_info_nested_across_agents",
+    "memory_partition_by_accessible_and_inaccessible",
+    "own_inaccessible_within_common_inaccessible", "memory_monotone_in_time",
+    "memory_matches_transmission_replay",
+    "prescription_action_consistency_across_owners",
+    "policy_strategy_round_trip_identity",
+    "prescription_domains_match_partition_rule",
+    "positional_transfer_composition",
+    "filter_chain_matches_direct_conditioning",
+    "filter_output_strategy_independent", "belief_evolution_markov",
+    "belief_normalization", "sufficient_state_step_deterministic",
+    "strategy_policy_cost_equivalence", "dp_matches_brute_force",
+    "dp_greedy_strategy_reproduces_value",
+    "structural_form_matches_brute_force",
+    "delay_reduction_never_increases_optimal_cost",
+    "domain_report_subset_relation",
+]
+
+
+def test_the_catalogue_declares_each_check_once_in_report_order():
+    assert [fn.spec[0] for fn in verify.CHECKS] == CHECK_NAMES
+    # a profiler that keys its spans by function name would merge two
+    # checks of one name
+    names = [fn.__name__ for fn in verify.CHECKS]
+    assert len(set(names)) == len(names) == 29
 
 
 # instances of every check on the cases of a run with random_n=6, seed=0, in
