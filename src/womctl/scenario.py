@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     BadDistribution,
@@ -279,9 +279,42 @@ def propagate(s: Scenario, d: DelayMatrix, prim: PrimitiveAssignment,
     )
 
 
+class PrimitiveAssignments:
+    """The positive-probability joint assignments of a scenario's primitives,
+    in canonical order: a sized view that builds each assignment while it is
+    iterated, and can be iterated again."""
+
+    def __init__(self, count: int, x_sup, w_sups, v_axes):
+        self._count = count
+        self._x_sup = x_sup
+        self._w_sups = w_sups      # w_sups[t]
+        self._v_axes = v_axes      # v_axes[(k - 1) * (T + 1) + t]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[PrimitiveAssignment]:
+        steps = len(self._w_sups)
+        agents = range(len(self._v_axes) // steps)
+        for x0, px in self._x_sup:
+            for ws in itertools.product(*self._w_sups):
+                pw = px
+                for _, p in ws:
+                    pw *= p
+                w = tuple(value for value, _p in ws)  # one tuple for every vs below
+                for vs in itertools.product(*self._v_axes):
+                    p = pw
+                    for _, pv in vs:
+                        p *= pv
+                    v = tuple(tuple(vs[k * steps + t][0] for t in range(steps))
+                              for k in agents)
+                    yield PrimitiveAssignment(x0=x0, w=w, v=v, prob=p)
+
+
 def enumerate_primitives(s: Scenario, cap: int = DEFAULT_ENUM_CAP
-                         ) -> list[PrimitiveAssignment]:
-    """Every positive-probability joint assignment of the primitives."""
+                         ) -> PrimitiveAssignments:
+    """Every positive-probability joint assignment of the primitives, as a
+    view whose length is checked against ``cap`` here, before any is built."""
     T = s.horizon
     x_sup = s.init_dist.support()
     w_sups = [s.w_dists[t].support() for t in range(T + 1)]
@@ -294,24 +327,8 @@ def enumerate_primitives(s: Scenario, cap: int = DEFAULT_ENUM_CAP
             total *= len(sup)
     if total > cap:
         raise EnumerationCapExceeded("primitive assignments", total, cap)
-    out = []
-    v_axes = [sup for per_agent in v_sups for sup in per_agent]
-    for x0, px in x_sup:
-        for ws in itertools.product(*w_sups):
-            pw = px
-            for _, p in ws:
-                pw *= p
-            w = tuple(value for value, _p in ws)  # one tuple for every vs below
-            for vs in itertools.product(*v_axes):
-                p = pw
-                for _, pv in vs:
-                    p *= pv
-                v = tuple(
-                    tuple(vs[k * (T + 1) + t][0] for t in range(T + 1))
-                    for k in range(s.agent_count)
-                )
-                out.append(PrimitiveAssignment(x0=x0, w=w, v=v, prob=p))
-    return out
+    return PrimitiveAssignments(
+        total, x_sup, w_sups, [sup for per_agent in v_sups for sup in per_agent])
 
 
 def joint_distribution(s: Scenario, d: DelayMatrix, g: Policy,

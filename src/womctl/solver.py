@@ -323,6 +323,55 @@ def _belief_reps_intern(reps: list[BeliefState], b: BeliefState) -> int:
     return len(reps) - 1
 
 
+def _intern(memo: dict, reps: list[BeliefState], b: BeliefState) -> int:
+    """``_belief_reps_intern`` behind a memo of exact repeats.
+
+    ``memo`` maps the sorted positive-mass (state key, probability) pairs of
+    every belief interned into ``reps`` to its index. A belief with the same
+    pairs is at the same L-infinity distance from every rep, and reps are
+    only appended, so the scan would return the index it returned before.
+    All beliefs of one ``reps`` list share owner and time.
+    """
+    key = tuple((st.key(), p) for st, p in b.support())
+    i = memo.get(key)
+    if i is None:
+        i = memo[key] = _belief_reps_intern(reps, b)
+    return i
+
+
+def _expand_level(s: Scenario, d: DelayMatrix, level: list[BeliefState],
+                  step: bool, shared_z: dict, candidates: int,
+                  policy_cap: int) -> tuple[tuple, list[BeliefState], int]:
+    """The options of every belief in ``level`` as flat lists, the next level
+    their successors are interned into, and the candidate count so far.
+
+    Node n's options are i in ``first_opt[n] .. first_opt[n + 1] - 1``, in
+    canonical order, with stage cost ``cost[i]``; option i's successors are
+    j in ``first_succ[i] .. first_succ[i + 1] - 1``: outcome ``zs[j]``, with
+    probability ``pzs[j]``, into node ``kids[j]`` of the next level. With
+    ``step`` false (the last stage) no option has successors.
+    """
+    nxt: list[BeliefState] = []
+    memo: dict = {}
+    first_opt, cost, first_succ, zs, pzs, kids = [0], [], [0], [], [], []
+    for pi in level:
+        for theta in belief_prescriptions(s, d, pi):
+            candidates += 1
+            if candidates > policy_cap:
+                raise EnumerationCapExceeded(
+                    "prescription candidates", candidates, policy_cap,
+                    exact=False)
+            cost.append(expected_cost(s, pi, theta, d))
+            if step:
+                for z, pz, b2 in belief_successors(s, d, pi, theta):
+                    zs.append(shared_z.setdefault(z, z))
+                    pzs.append(pz)
+                    kids.append(_intern(memo, nxt, b2))
+            first_succ.append(len(kids))
+        first_opt.append(len(cost))
+    return (first_opt, cost, first_succ, zs, pzs, kids), nxt, candidates
+
+
 def common_info_dp(s: Scenario, d: DelayMatrix,
                    policy_cap: int = DEFAULT_POLICY_CAP,
                    assign_cap: int = DEFAULT_ENUM_CAP) -> SolveResult:
@@ -339,48 +388,31 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
     read-out enumerates a reached node's options again to take the greedy one.
     """
     K, T = s.agent_count, s.horizon
-    roots = conditional_beliefs(s, d, K, (), assign_cap)
     levels: list[list[BeliefState]] = [[]]
-    root_nodes = [(a, pa, _belief_reps_intern(levels[0], b)) for a, pa, b in roots]
+    memo: dict = {}
+    root_nodes = [(a, pa, _intern(memo, levels[0], b))
+                  for a, pa, b in conditional_beliefs(s, d, K, (), assign_cap)]
     candidates = 0
     shared_z: dict[Realization, Realization] = {}  # one object per outcome
-
-    def expand(t: int, pi: BeliefState, nxt: list[BeliefState]) -> list:
-        """(stage cost, ((z, pz, child index), ...)) per prescription of pi,
-        in canonical order; children are interned into ``nxt``."""
-        nonlocal candidates
-        rows = []
-        for theta in belief_prescriptions(s, d, pi):
-            candidates += 1
-            if candidates > policy_cap:
-                raise EnumerationCapExceeded(
-                    "prescription candidates", candidates, policy_cap,
-                    exact=False)
-            c_now = expected_cost(s, pi, theta, d)
-            succ = ()
-            if t < T:
-                succ = tuple((shared_z.setdefault(z, z), pz,
-                              _belief_reps_intern(nxt, b2))
-                             for z, pz, b2 in belief_successors(s, d, pi, theta))
-            rows.append((c_now, succ))
-        return rows
-
-    options: list[list[list]] = []  # options[t][node][i]: see expand
+    tables = []
     for t in range(T + 1):
-        nxt: list[BeliefState] = []
-        options.append([expand(t, pi, nxt) for pi in levels[t]])
+        table, nxt, candidates = _expand_level(
+            s, d, levels[t], t < T, shared_z, candidates, policy_cap)
+        tables.append(table)
         if t < T:
             levels.append(nxt)
 
     values: list[list[float]] = [[0.0] * len(level) for level in levels]
-    greedy: list[list[int]] = [[0] * len(level) for level in levels]
+    greedy: list[list[int]] = [[0] * len(level) for level in levels]  # option i
     for t in range(T, -1, -1):
+        first_opt, cost, first_succ, _zs, pzs, kids = tables[t]
+        ahead = values[t + 1] if t < T else None
         for n in range(len(levels[t])):
             best, best_i = math.inf, 0
-            for i, (c_now, succ) in enumerate(options[t][n]):
-                v = c_now
-                for _z, pz, child in succ:
-                    v += pz * values[t + 1][child]
+            for i in range(first_opt[n], first_opt[n + 1]):
+                v = cost[i]
+                for j in range(first_succ[i], first_succ[i + 1]):
+                    v += pzs[j] * ahead[kids[j]]
                 if v < best:
                     best, best_i = v, i
             values[t][n] = best
@@ -394,19 +426,21 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
         (j, t): {} for j in s.agents() for t in s.times()}
     frontier = [(a, n) for a, _pa, n in root_nodes]
     for t in range(T + 1):
+        first_opt, _cost, first_succ, zs, _pzs, kids = tables[t]
         chosen: dict[int, tuple[PrescriptionFunction, ...]] = {}
         later = []
         for a, n in frontier:
+            i = greedy[t][n]
             if n not in chosen:
                 chosen[n] = next(itertools.islice(
-                    belief_prescriptions(s, d, levels[t][n]), greedy[t][n],
+                    belief_prescriptions(s, d, levels[t][n]), i - first_opt[n],
                     None)).parts
             for j in s.agents():
                 parts[(j, t)][a] = chosen[n][j - 1]
             # the shared information of the successor class grows by the
             # new-information realization attached to the branch
-            for z, _pz, child in options[t][n][greedy[t][n]][1]:
-                later.append((a.merge(z), child))
+            later += [(a.merge(zs[m]), kids[m])
+                      for m in range(first_succ[i], first_succ[i + 1])]
         frontier = later
     return SolveResult(method="common-info", agent=None, value=total,
                        argmin=_total_strategy(s, d, K, parts, assign_cap),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -901,7 +902,8 @@ def run_verify(scenario_path: str | None, random_n: int, seed: int,
                assign_cap: int = DEFAULT_ENUM_CAP, jobs: int = 1) -> dict:
     """Run every registered check; the report is a JSON-ready dict. With
     ``jobs`` above one, worker processes take contiguous case ranges, and
-    their tallies are merged in case order."""
+    their tallies are merged in case order; no more processes run at once
+    than the machine has CPUs."""
     run = functools.partial(run_cases, scenario_path, random_n, seed,
                             (policy_cap, assign_cap))
     ranges = case_ranges(len(_case_keys(scenario_path, random_n)), jobs)
@@ -909,7 +911,8 @@ def run_verify(scenario_path: str | None, random_n: int, seed: int,
         tallies = [run()]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        workers = min(len(ranges), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(run, *zip(*ranges)))
     results = merge_tallies(tallies)
     return {

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -301,3 +302,15 @@ def test_conditional_beliefs_split_the_mass_as_the_filter_does(inst_a, k):
         assert belief_linf(pi, want[a][1]) <= 1e-9
         assert belief_from_scratch(s, d, k, a, (theta,)) == pi
 
+
+def test_root_conditioning_streams_the_primitive_assignments(inst_b):
+    # instance_b has 8,192 assignments; held as one list they take 3.2 MB
+    _topo, s, d = inst_b
+    conditional_beliefs(s, d, 3, ())  # fills the label caches
+    tracemalloc.start()
+    try:
+        conditional_beliefs(s, d, 3, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6

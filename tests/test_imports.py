@@ -1,7 +1,10 @@
 """Every module-level import in the package is used by its module, and every
-definition in the package is referenced from the package or its tests."""
+definition in the package is referenced from the package or its tests, and
+a solve loads no extension module beyond a pinned set."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import womctl
@@ -187,3 +190,30 @@ def test_no_nested_function_refers_to_itself():
     found = [f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
              for name in _self_referring_closures(p.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# the compiled modules a solve loads without the site packages (``-S``);
+# each one more costs every run about 0.3 MB of peak RSS
+EXTENSIONS = {"_bisect", "_bz2", "_json", "_lzma", "_opcode", "_typing",
+              "math", "zlib"}
+
+_LOADED = """
+import contextlib, io, sys
+import womctl.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = womctl.cli.main(["solve", "--scenario", sys.argv[1],
+                            "--method", "common-info"])
+print(code, *sorted(n for n, m in list(sys.modules.items())
+                    if (getattr(m, "__file__", None) or "").endswith(".so")))
+"""
+
+
+def test_a_solve_loads_only_the_pinned_extension_modules():
+    env = {"PYTHONPATH": str(PACKAGE.parent), "PATH": ""}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED,
+         str(PACKAGE / "data" / "instance_a.wom")],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    code, *loaded = out.stdout.split()
+    assert code == "0"
+    assert set(loaded) <= EXTENSIONS

@@ -19,6 +19,7 @@ from womctl.scenario import (
     Distribution,
     FiniteSpace,
     Policy,
+    enumerate_primitives,
     joint_distribution,
     simulate,
 )
@@ -280,3 +281,15 @@ def test_enumeration_cap_guards_joint_distribution(inst_a):
     g = random_total_policy(sub_rng(7, 7), s, d)
     with pytest.raises(EnumerationCapExceeded):
         joint_distribution(s, d, g, cap=15)
+
+
+@pytest.mark.parametrize("instance", ["inst_a", "inst_b"])
+def test_primitive_view_is_sized_capped_at_the_call_and_re_iterable(
+        instance, request):
+    _topo, s, _d = request.getfixturevalue(instance)
+    prims = enumerate_primitives(s)
+    first = list(prims)
+    assert len(prims) == len(first) == {"inst_a": 16, "inst_b": 8192}[instance]
+    assert list(prims) == first
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_primitives(s, cap=len(first) - 1)

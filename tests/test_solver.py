@@ -5,11 +5,13 @@ import pytest
 
 from womctl import solver
 from womctl.errors import EnumerationCapExceeded
+from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import enumerate_realizations, memory_labels
 from womctl.prescription import policy_to_strategy
 from womctl.randgen import random_scenario, random_total_policy, sub_rng
 from womctl.scenario import Policy
 from womctl.scenario_io import loads_scenario
+from womctl.serialize import dump_json, strategy_json
 from womctl.solver import (
     brute_force_optimal,
     common_info_dp,
@@ -387,3 +389,45 @@ def test_common_info_argmin_attains_its_value_on_random_cases():
             assert abs(evaluate_strategy(s, d, dp.argmin) - dp.value) <= 1e-9
             solved += 1
     assert solved == 15
+
+
+def _dp_cases():
+    # (interns, answered by the memo) pinned on the bundled instances
+    for name, load, counts in (("instance_a", instance_a, (177, 160)),
+                               ("instance_b", instance_b, (8257, 8064))):
+        topo, s = load()
+        yield pytest.param(s, min_delay_matrix(topo), counts, id=name)
+    for seed in range(5):
+        for case in build_inputs(None, 40, seed):
+            if case.scenario:
+                _idx, name, _topo, d, s = case.scenario
+                yield pytest.param(s, d, None, id=f"seed{seed}-{name}")
+
+
+@pytest.mark.parametrize("s, d, counts", _dp_cases())
+def test_intern_memo_returns_what_the_scan_returns(s, d, counts, monkeypatch):
+    real = solver._intern
+    memo_hits = []
+
+    def checked(memo, reps, b):
+        want = solver._belief_reps_intern(list(reps), b)
+        before = len(memo)
+        got = real(memo, reps, b)
+        assert got == want
+        memo_hits.append(len(memo) == before)
+        return got
+
+    def scan_only(memo, reps, b):
+        return solver._belief_reps_intern(reps, b)
+
+    def solved():
+        dp = common_info_dp(s, d)
+        return dp.value.hex(), dump_json(strategy_json(s, dp.argmin))
+
+    monkeypatch.setattr(solver, "_intern", checked)
+    with_memo = solved()
+    monkeypatch.setattr(solver, "_intern", scan_only)
+    assert with_memo == solved()
+    assert memo_hits
+    if counts:
+        assert (len(memo_hits), sum(memo_hits)) == counts

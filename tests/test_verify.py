@@ -6,9 +6,11 @@ corruption fail at the first instance that shows it, the others still pass
 with their usual instance counts.
 """
 
+import concurrent.futures
 import dataclasses
 import gc
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -196,6 +198,30 @@ def test_case_ranges_are_contiguous_and_never_empty():
     # a scenario-only run has two cases: the delay-reduction pairs and the file
     assert len(verify._case_keys("x.wom", 0)) == 2
     assert len(verify._case_keys(None, 6)) == 1 + 6 + 3
+
+
+def test_verify_starts_no_more_workers_than_cpus(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    report = verify.run_verify(None, 5, 0, jobs=64)
+    # 9 cases: the delay-reduction pairs, 5 random and 3 scenario cases
+    assert asked == [min(9, os.cpu_count() or 1)]
+    assert report == verify.run_verify(None, 5, 0)
 
 
 def _tree_cases():
