@@ -305,6 +305,135 @@ def conditional_beliefs(s: Scenario, d: DelayMatrix, k: int,
     return out
 
 
+# -- conditioning classes, pushed one step at a time ---------------------------
+#
+# A class is ``(prob, x, history)``: the primitive assignments of one
+# conditioning class that agree on the plant state and on every observation
+# and action so far, merged. ``history`` holds those values by slot (see
+# ``_slots``), so it grows by 2K values per step. ``table`` interns the
+# Realizations and SufficientStates built from classes: keys are plain tuples,
+# and equal ones map to one shared object.
+
+def _slots(labels: InfoSet, agents: int) -> tuple[int, ...]:
+    """Positions of ``labels`` in a class history: at each time the K
+    observations, then the K actions."""
+    return tuple(2 * agents * l.time + agents * l.kind + l.agent - 1
+                 for l in labels)
+
+
+def _shared(table: dict, labels: InfoSet, slots: tuple[int, ...],
+            history: tuple[str, ...]) -> Realization:
+    values = tuple(history[i] for i in slots)
+    r = table.get((slots, values))
+    if r is None:
+        r = table[(slots, values)] = Realization(tuple(zip(labels, values)))
+    return r
+
+
+def _class_belief(d: DelayMatrix, k: int, t: int, classes: list,
+                  table: dict) -> tuple[float, BeliefState]:
+    """Probability of one class group and its sufficient-state conditional."""
+    info = sufficient_info_labels(d, k, t)
+    slots = _slots(info, d.agent_count)
+    probs: dict[SufficientState, float] = {}
+    for p, x, history in classes:
+        key = (t, x, slots, tuple(history[i] for i in slots))
+        st = table.get(key)
+        if st is None:
+            st = table[key] = SufficientState(
+                owner=k, time=t, x=x,
+                info=_shared(table, info, slots, history))
+        probs[st] = probs.get(st, 0.0) + p
+    pa = sum(probs.values())
+    return pa, BeliefState(owner=k, time=t, probs={
+        st: p / pa for st, p in probs.items()} if pa > 0.0 else {})
+
+
+def _by_accessible(d: DelayMatrix, k: int, t: int,
+                   merged: dict[tuple, float], table: dict
+                   ) -> list[tuple[Realization, list]]:
+    """Merged classes grouped by agent k's accessible realization at t, in
+    canonical order. Every key shares the labels, so value order is
+    ``Realization.items`` order."""
+    want = accessible_labels(d, k, t)
+    slots = _slots(want, d.agent_count)
+    groups: dict[tuple, list] = {}
+    for (x, history), p in merged.items():
+        groups.setdefault(tuple(history[i] for i in slots), []).append(
+            (p, x, history))
+    return [(_shared(table, want, slots, groups[values][0][2]), groups[values])
+            for values in sorted(groups)]
+
+
+def root_classes(s: Scenario, d: DelayMatrix, k: int, table: dict
+                 ) -> dict[Realization, list]:
+    """Agent k's classes at t = 0 by accessible realization: the initial
+    state and the sensor noises at 0, merged on the observations."""
+    v_axes = [s.v_dists[(j, 0)].support() for j in s.agents()]
+    merged: dict[tuple, float] = {}
+    for x, px in s.init_dist.support():
+        for vs in itertools.product(*v_axes):
+            p = px
+            for _v, pv in vs:
+                p *= pv
+            key = (x, tuple(s.h(j, 0, x, v)
+                            for j, (v, _pv) in enumerate(vs, start=1)))
+            merged[key] = merged.get(key, 0.0) + p
+    return dict(_by_accessible(d, k, 0, merged, table))
+
+
+def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
+                     classes: list, theta: CompletePrescription, table: dict
+                     ) -> list[tuple[Realization, Realization, float,
+                                     BeliefState, list]]:
+    """Push agent k's classes at t one step under ``theta``.
+
+    The actions come from ``theta``; each class then branches on the plant
+    noise at t and on every sensor noise at t + 1, and the results are merged
+    and grouped by the accessible realization ``a`` at t + 1. Returns (a, new
+    information z, prob of a, belief, classes of a) with positive
+    probability, in canonical ``a`` order. This is direct conditioning, as
+    ``conditional_beliefs``, one step at a time: it reads no belief.
+    """
+    agents = s.agent_count
+    # per target: the part, its slots, and the actions found so far by value
+    parts = [(gamma, _slots(gamma.domain, agents), {})
+             for gamma in theta.parts]
+    w_sup = s.w_dists[t].support()
+    v_axes = [s.v_dists[(j, t + 1)].support() for j in s.agents()]
+    merged: dict[tuple, float] = {}
+    for p, x, history in classes:
+        u = []
+        for gamma, slots, seen in parts:
+            values = tuple(history[i] for i in slots)
+            uj = seen.get(values)
+            if uj is None:
+                uj = seen[values] = act(
+                    gamma, Realization(tuple(zip(gamma.domain, values))))
+            u.append(uj)
+        u = tuple(u)
+        history = history + u
+        for w, pw in w_sup:
+            x2 = s.f(t, x, u, w)
+            y_axes = [[(s.h(j, t + 1, x2, v), pv) for v, pv in v_axes[j - 1]]
+                      for j in s.agents()]
+            for ys in itertools.product(*y_axes):
+                q = p * pw
+                for _y, py in ys:
+                    q *= py
+                key = (x2, history + tuple(y for y, _py in ys))
+                merged[key] = merged.get(key, 0.0) + q
+    z_labels = new_info_labels(d, k, t + 1)
+    z_slots = _slots(z_labels, agents)
+    out = []
+    for a, group in _by_accessible(d, k, t + 1, merged, table):
+        pa, pi = _class_belief(d, k, t + 1, group, table)
+        if pa > 0.0:
+            out.append((a, _shared(table, z_labels, z_slots, group[0][2]),
+                        pa, pi, group))
+    return out
+
+
 def belief_from_scratch(s: Scenario, d: DelayMatrix, k: int, a: Realization,
                         thetas: tuple[CompletePrescription, ...],
                         cap: int = DEFAULT_ENUM_CAP) -> BeliefState:

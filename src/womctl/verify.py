@@ -24,7 +24,9 @@ from .belief import (
     belief_linf,
     belief_prescriptions,
     belief_successors,
+    class_successors,
     conditional_beliefs,
+    root_classes,
     stage_cost_hat,
     state_step,
     sufficient_info_labels,
@@ -170,39 +172,47 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     """All reachable conditioning histories of agent k, as a tree.
 
     Nodes at time t are the classes of ``conditional_beliefs`` for their
-    prescription history; edges branch over the prescriptions that differ on
-    the node's support and then over the classes that extend the node's
-    shared realization, labelled by the new-information outcome. The node
-    list is in pre-order: each node precedes its subtree, and subtrees follow
-    in edge order.
+    prescription history. The roots come from that replay of every primitive
+    assignment; below them, a node's children under a prescription option
+    are its own member classes pushed one step (``class_successors``), so no
+    other node replays from t = 0. Edges branch over the prescriptions that
+    differ on the node's support and then over the classes that extend the
+    node's shared realization, labelled by the new-information outcome. The
+    node list is in pre-order: each node precedes its subtree, and subtrees
+    follow in edge order. A node's member classes live only while it waits
+    on the stack, and a leaf holds none; one table per call shares equal
+    realizations and sufficient states among the nodes.
     """
+    table: dict = {}
+    members = root_classes(s, d, k, table)
     roots = [HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
                          weight=pa0, belief=pi0)
              for a0, pa0, pi0 in conditional_beliefs(s, d, k, (), assign_cap)]
     all_nodes: list[HistoryNode] = []
-    stack = roots[::-1]
+    stack = [(root, members.pop(root.accessible)) for root in reversed(roots)]
     while stack:
-        node = stack.pop()
+        node, classes = stack.pop()
         all_nodes.append(node)
         if len(all_nodes) > node_cap:
             raise EnumerationCapExceeded(
                 "conditioning histories", len(all_nodes), node_cap,
                 exact=False)
-        t, a = node.time, node.accessible
+        t = node.time
         if t == s.horizon:
             continue
-        z_labels = new_info_labels(d, k, t + 1)
+        child_is_leaf = t + 1 == s.horizon
+        pending = []
         for theta in belief_prescriptions(s, d, node.belief):
             thetas2 = node.thetas + (theta,)
-            node.children.append((theta, [
-                (a2.restrict(z_labels), pa2,
-                 HistoryNode(agent=k, time=t + 1, accessible=a2,
-                             thetas=thetas2, weight=pa2, belief=pi2))
-                for a2, pa2, pi2 in conditional_beliefs(
-                    s, d, k, thetas2, assign_cap)
-                if a2.restrict(a.domain) == a]))
-        stack.extend(child for _theta, edges in reversed(node.children)
-                     for _z, _w, child in reversed(edges))
+            edges = []
+            for a2, z, pa2, pi2, classes2 in class_successors(
+                    s, d, k, t, classes, theta, table):
+                child = HistoryNode(agent=k, time=t + 1, accessible=a2,
+                                    thetas=thetas2, weight=pa2, belief=pi2)
+                edges.append((z, pa2, child))
+                pending.append((child, None if child_is_leaf else classes2))
+            node.children.append((theta, edges))
+        stack.extend(reversed(pending))
     return roots, all_nodes
 
 

@@ -141,17 +141,16 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
     assert {name: calls[name] for name in (
         "history_tree", "brute_force_optimal", "common_info_dp")} == {
         "history_tree": 5, "brute_force_optimal": 9, "common_info_dp": 3}
-    # the filter pass conditions only through conditional_beliefs, as many
-    # times as the tree has (node, prescription option) pairs below the
-    # horizon plus once for the roots of each tree, and replays no primitive
-    # assignment of its own
+    # the filter pass replays primitive assignments only for the roots of
+    # each tree, through conditional_beliefs; every other node is its
+    # parent's classes pushed one step
     calls.clear()
     for case in verify.build_inputs(None, 1, 0):
         if case.scenario:
             verify._filter_pass(case, *(verify.CheckResult(n, "")
                                         for n in "abcd"))
     assert (calls["enumerate_primitives"], calls["conditional_beliefs"]) == (
-        0, 57)
+        0, 5)
 
 
 def test_verify_leaves_no_cyclic_garbage():
@@ -271,6 +270,34 @@ def test_history_tree_matches_the_member_replay(s, d, stored):
             assert set(node.belief.probs) == set(conditional)
             assert max(abs(node.belief.probs[st] - p)
                        for st, p in conditional.items()) <= BELIEF_TOL
+
+
+def test_history_tree_on_instance_b_pushes_what_direct_conditioning_gives(
+        inst_b):
+    # the member replay of agent 1 alone takes about 90 s here, so the first
+    # two nodes of each level stand in for it
+    _topo, s, d = inst_b
+    assert [len(verify.history_tree(s, d, k)[1]) for k in s.agents()] == [
+        146, 1153, 8257]
+    _roots, nodes = verify.history_tree(s, d, 1)
+    for t in s.times():
+        for node in [n for n in nodes if n.time == t][:2]:
+            (weight, belief), = [
+                (pa, pi) for a, pa, pi in verify.conditional_beliefs(
+                    s, d, 1, node.thetas) if a == node.accessible]
+            assert abs(node.weight - weight) <= 1e-12
+            assert set(node.belief.probs) == set(belief.probs)
+            assert max(abs(node.belief.probs[st] - p)
+                       for st, p in belief.probs.items()) <= 1e-12
+
+
+def test_history_tree_caps_its_replay_and_its_node_count(inst_a):
+    _topo, s, d = inst_a
+    # instance_a has 16 primitive assignments and 78 nodes for agent 1
+    with pytest.raises(EnumerationCapExceeded, match="primitive assignments"):
+        verify.history_tree(s, d, 1, assign_cap=15)
+    with pytest.raises(EnumerationCapExceeded, match="conditioning histories"):
+        verify.history_tree(s, d, 1, node_cap=10)
 
 
 # -- failure-path pins ---------------------------------------------------------
