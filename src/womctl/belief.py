@@ -254,57 +254,6 @@ def belief_update(s: Scenario, d: DelayMatrix, pi: BeliefState,
         f"prescription at t={pi.time}")
 
 
-def conditional_beliefs(s: Scenario, d: DelayMatrix, k: int,
-                        thetas: tuple[CompletePrescription, ...],
-                        cap: int = DEFAULT_ENUM_CAP
-                        ) -> list[tuple[Realization, float, BeliefState]]:
-    """Exact conditionals of the sufficient state at t = len(thetas), one per
-    realization of agent k's shared information.
-
-    Enumerates every primitive assignment, replays the prescription sequence
-    to obtain all actions, groups the assignments by their accessible
-    realization ``a`` and normalizes each group over its induced sufficient
-    states. Returns (a, prob of a, belief) triples with positive
-    probability, in canonical ``a`` order.
-    """
-    t = len(thetas)
-    want = accessible_labels(d, k, t)
-    info_t = sufficient_info_labels(d, k, t)
-    acc: dict[Realization, dict[SufficientState, float]] = {}
-    for prim in enumerate_primitives(s, cap):
-        values: dict = {}
-        x = prim.x0
-        for tau in range(t + 1):
-            for j in s.agents():
-                values[obs_label(j, tau)] = s.h(j, tau, x, prim.v[j - 1][tau])
-            if tau == t:
-                break
-            theta = thetas[tau]
-            u = []
-            for j in s.agents():
-                gamma = theta.parts[j - 1]
-                l = Realization(tuple((lbl, values[lbl]) for lbl in gamma.domain))
-                u.append(act(gamma, l))
-            u = tuple(u)
-            for j in s.agents():
-                values[act_label(j, tau)] = u[j - 1]
-            x = s.f(tau, x, u, prim.w[tau])
-        a = Realization(tuple((lbl, values[lbl]) for lbl in want))
-        st = SufficientState(
-            owner=k, time=t, x=x,
-            info=Realization(tuple((lbl, values[lbl]) for lbl in info_t)))
-        table = acc.setdefault(a, {})
-        table[st] = table.get(st, 0.0) + prim.prob
-    out = []
-    for a in sorted(acc, key=lambda r: r.items):
-        table = acc[a]
-        pa = sum(table.values())
-        if pa > 0.0:
-            out.append((a, pa, BeliefState(
-                owner=k, time=t, probs={st: p / pa for st, p in table.items()})))
-    return out
-
-
 # -- conditioning classes, pushed one step at a time ---------------------------
 #
 # A class is ``(prob, x, history)``: the primitive assignments of one
@@ -330,56 +279,60 @@ def _shared(table: dict, labels: InfoSet, slots: tuple[int, ...],
     return r
 
 
-def _class_belief(d: DelayMatrix, k: int, t: int, classes: list,
-                  table: dict) -> tuple[float, BeliefState]:
-    """Probability of one class group and its sufficient-state conditional."""
-    info = sufficient_info_labels(d, k, t)
-    slots = _slots(info, d.agent_count)
-    probs: dict[SufficientState, float] = {}
-    for p, x, history in classes:
-        key = (t, x, slots, tuple(history[i] for i in slots))
-        st = table.get(key)
-        if st is None:
-            st = table[key] = SufficientState(
-                owner=k, time=t, x=x,
-                info=_shared(table, info, slots, history))
-        probs[st] = probs.get(st, 0.0) + p
-    pa = sum(probs.values())
-    return pa, BeliefState(owner=k, time=t, probs={
-        st: p / pa for st, p in probs.items()} if pa > 0.0 else {})
-
-
-def _by_accessible(d: DelayMatrix, k: int, t: int,
-                   merged: dict[tuple, float], table: dict
-                   ) -> list[tuple[Realization, list]]:
-    """Merged classes grouped by agent k's accessible realization at t, in
-    canonical order. Every key shares the labels, so value order is
-    ``Realization.items`` order."""
+def _conditionals(d: DelayMatrix, k: int, t: int, merged: dict[tuple, float],
+                  table: dict
+                  ) -> list[tuple[Realization, float, BeliefState, list]]:
+    """Merged classes grouped by agent k's accessible realization ``a`` at t:
+    (a, prob of a, sufficient-state conditional, classes of a) with positive
+    probability, in canonical ``a`` order. Every key shares the labels, so
+    value order is ``Realization.items`` order."""
     want = accessible_labels(d, k, t)
     slots = _slots(want, d.agent_count)
+    info = sufficient_info_labels(d, k, t)
+    info_slots = _slots(info, d.agent_count)
     groups: dict[tuple, list] = {}
     for (x, history), p in merged.items():
         groups.setdefault(tuple(history[i] for i in slots), []).append(
             (p, x, history))
-    return [(_shared(table, want, slots, groups[values][0][2]), groups[values])
-            for values in sorted(groups)]
+    out = []
+    for values in sorted(groups):
+        group = groups[values]
+        probs: dict[SufficientState, float] = {}
+        for p, x, history in group:
+            key = (t, x, info_slots, tuple(history[i] for i in info_slots))
+            st = table.get(key)
+            if st is None:
+                st = table[key] = SufficientState(
+                    owner=k, time=t, x=x,
+                    info=_shared(table, info, info_slots, history))
+            probs[st] = probs.get(st, 0.0) + p
+        pa = sum(probs.values())
+        if pa > 0.0:
+            out.append((_shared(table, want, slots, group[0][2]), pa,
+                        BeliefState(owner=k, time=t, probs={
+                            st: p / pa for st, p in probs.items()}),
+                        group))
+    return out
 
 
-def root_classes(s: Scenario, d: DelayMatrix, k: int, table: dict
-                 ) -> dict[Realization, list]:
-    """Agent k's classes at t = 0 by accessible realization: the initial
-    state and the sensor noises at 0, merged on the observations."""
-    v_axes = [s.v_dists[(j, 0)].support() for j in s.agents()]
+def root_classes(s: Scenario, d: DelayMatrix, k: int, table: dict,
+                 cap: int = DEFAULT_ENUM_CAP
+                 ) -> list[tuple[Realization, float, BeliefState, list]]:
+    """Agent k's classes at t = 0: every primitive assignment (at most
+    ``cap`` of them), merged on the initial state and the observations at 0.
+    Returns (a, prob of a, belief, classes of a) with positive probability,
+    in canonical ``a`` order.
+
+    The sum runs over whole assignments, not over the initial state and the
+    sensor noises at 0 alone: the two round differently in the last bits,
+    and the common-info DP's pinned values follow this rounding.
+    """
     merged: dict[tuple, float] = {}
-    for x, px in s.init_dist.support():
-        for vs in itertools.product(*v_axes):
-            p = px
-            for _v, pv in vs:
-                p *= pv
-            key = (x, tuple(s.h(j, 0, x, v)
-                            for j, (v, _pv) in enumerate(vs, start=1)))
-            merged[key] = merged.get(key, 0.0) + p
-    return dict(_by_accessible(d, k, 0, merged, table))
+    for prim in enumerate_primitives(s, cap):
+        x = prim.x0
+        key = (x, tuple(s.h(j, 0, x, prim.v[j - 1][0]) for j in s.agents()))
+        merged[key] = merged.get(key, 0.0) + prim.prob
+    return _conditionals(d, k, 0, merged, table)
 
 
 def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
@@ -392,8 +345,8 @@ def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
     noise at t and on every sensor noise at t + 1, and the results are merged
     and grouped by the accessible realization ``a`` at t + 1. Returns (a, new
     information z, prob of a, belief, classes of a) with positive
-    probability, in canonical ``a`` order. This is direct conditioning, as
-    ``conditional_beliefs``, one step at a time: it reads no belief.
+    probability, in canonical ``a`` order. This is direct conditioning, one
+    step at a time: it reads no belief.
     """
     agents = s.agent_count
     # per target: the part, its slots, and the actions found so far by value
@@ -425,13 +378,28 @@ def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
                 merged[key] = merged.get(key, 0.0) + q
     z_labels = new_info_labels(d, k, t + 1)
     z_slots = _slots(z_labels, agents)
-    out = []
-    for a, group in _by_accessible(d, k, t + 1, merged, table):
-        pa, pi = _class_belief(d, k, t + 1, group, table)
-        if pa > 0.0:
-            out.append((a, _shared(table, z_labels, z_slots, group[0][2]),
-                        pa, pi, group))
-    return out
+    return [(a, _shared(table, z_labels, z_slots, group[0][2]), pa, pi, group)
+            for a, pa, pi, group in _conditionals(d, k, t + 1, merged, table)]
+
+
+def conditional_beliefs(s: Scenario, d: DelayMatrix, k: int,
+                        thetas: tuple[CompletePrescription, ...],
+                        cap: int = DEFAULT_ENUM_CAP
+                        ) -> list[tuple[Realization, float, BeliefState]]:
+    """Exact conditionals of the sufficient state at t = len(thetas), one per
+    realization of agent k's shared information: the root classes pushed
+    through ``thetas`` with ``class_successors``. Classes of different
+    realizations never merge, so they are pushed together. Returns (a, prob
+    of a, belief) triples with positive probability, in canonical ``a``
+    order.
+    """
+    table: dict = {}
+    level = root_classes(s, d, k, table, cap)
+    for t, theta in enumerate(thetas):
+        level = [(a, pa, pi, group) for a, _z, pa, pi, group in class_successors(
+            s, d, k, t, [c for *_a, group in level for c in group], theta,
+            table)]
+    return [(a, pa, pi) for a, pa, pi, _group in level]
 
 
 def belief_from_scratch(s: Scenario, d: DelayMatrix, k: int, a: Realization,

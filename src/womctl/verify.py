@@ -25,7 +25,6 @@ from .belief import (
     belief_prescriptions,
     belief_successors,
     class_successors,
-    conditional_beliefs,
     root_classes,
     stage_cost_hat,
     state_step,
@@ -171,25 +170,25 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
                  ) -> tuple[list[HistoryNode], list[HistoryNode]]:
     """All reachable conditioning histories of agent k, as a tree.
 
-    Nodes at time t are the classes of ``conditional_beliefs`` for their
-    prescription history. The roots come from that replay of every primitive
-    assignment; below them, a node's children under a prescription option
-    are its own member classes pushed one step (``class_successors``), so no
-    other node replays from t = 0. Edges branch over the prescriptions that
-    differ on the node's support and then over the classes that extend the
-    node's shared realization, labelled by the new-information outcome. The
-    node list is in pre-order: each node precedes its subtree, and subtrees
-    follow in edge order. A node's member classes live only while it waits
-    on the stack, and a leaf holds none; one table per call shares equal
-    realizations and sufficient states among the nodes.
+    Nodes at time t are the conditioning classes for their prescription
+    history. The roots are ``root_classes``, the one pass over the primitive
+    assignments; below them, a node's children under a prescription option
+    are its own member classes pushed one step (``class_successors``). Edges
+    branch over the prescriptions that differ on the node's support and then
+    over the classes that extend the node's shared realization, labelled by
+    the new-information outcome. The node list is in pre-order: each node
+    precedes its subtree, and subtrees follow in edge order. A node's member
+    classes live only while it waits on the stack, and a leaf holds none; one
+    table per call shares equal realizations and sufficient states among the
+    nodes.
     """
     table: dict = {}
-    members = root_classes(s, d, k, table)
-    roots = [HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
-                         weight=pa0, belief=pi0)
-             for a0, pa0, pi0 in conditional_beliefs(s, d, k, (), assign_cap)]
+    stack = [(HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
+                          weight=pa0, belief=pi0), classes)
+             for a0, pa0, pi0, classes in reversed(
+                 root_classes(s, d, k, table, assign_cap))]
+    roots = [root for root, _classes in reversed(stack)]
     all_nodes: list[HistoryNode] = []
-    stack = [(root, members.pop(root.accessible)) for root in reversed(roots)]
     while stack:
         node, classes = stack.pop()
         all_nodes.append(node)

@@ -343,6 +343,20 @@ def test_belief_command_rejects_an_unknown_history_key(tmp_path):
         "'accessible' and 'prescriptions'\n")
 
 
+@pytest.mark.parametrize("steps", [0, 2])
+def test_belief_command_caps_the_primitive_assignments(tmp_path, steps):
+    # instance_a has 16 primitive assignments, and a history of any length
+    # conditions on every one of them
+    doc = (_play_u0_doc(steps) if steps
+           else {"accessible": "-", "prescriptions": []})
+    history = tmp_path / "history.json"
+    history.write_text(json.dumps(doc), encoding="utf-8")
+    r = womctl("belief", "--scenario", INSTANCE_A, "--agent", "2",
+               "--history", str(history), "--cap", "15")
+    assert (r.returncode, r.stdout, r.stderr) == (
+        3, "", "error: primitive assignments: 16 exceeds cap 15\n")
+
+
 def test_belief_command_takes_at_most_horizon_steps(tmp_path):
     history = tmp_path / "history.json"
     history.write_text(_play_u0_history(2), encoding="utf-8")

@@ -19,6 +19,7 @@ import womctl.verify as verify
 from womctl.belief import (
     BELIEF_TOL,
     SufficientState,
+    belief_from_scratch,
     belief_prescriptions,
     sufficient_info_labels,
 )
@@ -28,7 +29,7 @@ from womctl.fixtures import instance_a
 from womctl.infostruct import Realization, accessible_labels, memory_labels
 from womctl.topology import DelayMatrix, min_delay_matrix
 
-from oracles import member_history_tree
+from oracles import member_history_tree, node_members
 
 SCN0_AGENT1_T1 = {"case": "scn-0", "agent": 1, "t": 1}
 
@@ -130,7 +131,7 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
         return wrapper
 
     for name in ("history_tree", "brute_force_optimal", "common_info_dp",
-                 "enumerate_primitives", "conditional_beliefs"):
+                 "enumerate_primitives", "root_classes"):
         monkeypatch.setattr(verify, name, counted(name))
     report = verify.run_verify(None, 1, 0)
     assert report["passed"]
@@ -141,16 +142,15 @@ def test_verify_builds_each_shared_input_once(monkeypatch):
     assert {name: calls[name] for name in (
         "history_tree", "brute_force_optimal", "common_info_dp")} == {
         "history_tree": 5, "brute_force_optimal": 9, "common_info_dp": 3}
-    # the filter pass replays primitive assignments only for the roots of
-    # each tree, through conditional_beliefs; every other node is its
-    # parent's classes pushed one step
+    # the filter pass sums the primitive assignments once per tree, for its
+    # roots in root_classes; every other node is its parent's classes pushed
+    # one step
     calls.clear()
     for case in verify.build_inputs(None, 1, 0):
         if case.scenario:
             verify._filter_pass(case, *(verify.CheckResult(n, "")
                                         for n in "abcd"))
-    assert (calls["enumerate_primitives"], calls["conditional_beliefs"]) == (
-        0, 5)
+    assert (calls["enumerate_primitives"], calls["root_classes"]) == (0, 5)
 
 
 def test_verify_leaves_no_cyclic_garbage():
@@ -235,6 +235,20 @@ def _tree_cases():
             yield pytest.param(s, d, None, id=name)
 
 
+def _member_conditional(d, node, members):
+    """A class's weight and sufficient-state conditional, summed from the
+    primitive assignments it holds."""
+    weight = sum(p for p, _x, _values in members)
+    info = sufficient_info_labels(d, node.agent, node.time)
+    conditional: dict[SufficientState, float] = {}
+    for p, x, values in members:
+        st = SufficientState(owner=node.agent, time=node.time, x=x,
+                             info=Realization(tuple(
+                                 (l, values[l]) for l in info)))
+        conditional[st] = conditional.get(st, 0.0) + p / weight
+    return weight, conditional
+
+
 @pytest.mark.parametrize("s, d, stored", _tree_cases())
 def test_history_tree_matches_the_member_replay(s, d, stored):
     for k in s.agents():
@@ -259,17 +273,14 @@ def test_history_tree_matches_the_member_replay(s, d, stored):
                     assert (child.thetas, child.accessible, w) == (
                         node.thetas + (theta,), node.accessible.merge(z),
                         child.weight)
-            assert abs(node.weight - want.weight) <= 1e-12
-            conditional: dict[SufficientState, float] = {}
-            info = sufficient_info_labels(d, k, node.time)
-            for p, x, values in want.members:
-                st = SufficientState(owner=k, time=node.time, x=x,
-                                     info=Realization(tuple(
-                                         (l, values[l]) for l in info)))
-                conditional[st] = conditional.get(st, 0.0) + p / want.weight
-            assert set(node.belief.probs) == set(conditional)
-            assert max(abs(node.belief.probs[st] - p)
-                       for st, p in conditional.items()) <= BELIEF_TOL
+            weight, conditional = _member_conditional(d, node, want.members)
+            assert abs(node.weight - weight) <= 1e-12
+            # the tree's push and the `belief --history` path both match
+            for pi in (node.belief, belief_from_scratch(
+                    s, d, k, node.accessible, node.thetas)):
+                assert set(pi.probs) == set(conditional)
+                assert max(abs(pi.probs[st] - p)
+                           for st, p in conditional.items()) <= BELIEF_TOL
 
 
 def test_history_tree_on_instance_b_pushes_what_direct_conditioning_gives(
@@ -282,13 +293,12 @@ def test_history_tree_on_instance_b_pushes_what_direct_conditioning_gives(
     _roots, nodes = verify.history_tree(s, d, 1)
     for t in s.times():
         for node in [n for n in nodes if n.time == t][:2]:
-            (weight, belief), = [
-                (pa, pi) for a, pa, pi in verify.conditional_beliefs(
-                    s, d, 1, node.thetas) if a == node.accessible]
+            weight, conditional = _member_conditional(
+                d, node, node_members(s, d, node))
             assert abs(node.weight - weight) <= 1e-12
-            assert set(node.belief.probs) == set(belief.probs)
+            assert set(node.belief.probs) == set(conditional)
             assert max(abs(node.belief.probs[st] - p)
-                       for st, p in belief.probs.items()) <= 1e-12
+                       for st, p in conditional.items()) <= 1e-12
 
 
 def test_history_tree_caps_its_replay_and_its_node_count(inst_a):
