@@ -339,37 +339,54 @@ def _intern(memo: dict, reps: list[BeliefState], b: BeliefState) -> int:
     return i
 
 
-def _expand_level(s: Scenario, d: DelayMatrix, level: list[BeliefState],
-                  step: bool, shared_z: dict, candidates: int,
-                  policy_cap: int) -> tuple[tuple, list[BeliefState], int]:
-    """The options of every belief in ``level`` as flat lists, the next level
-    their successors are interned into, and the candidate count so far.
+class _BeliefDP:
+    """The common-information DP, valuing each belief when it is interned.
 
-    Node n's options are i in ``first_opt[n] .. first_opt[n + 1] - 1``, in
-    canonical order, with stage cost ``cost[i]``; option i's successors are
-    j in ``first_succ[i] .. first_succ[i + 1] - 1``: outcome ``zs[j]``, with
-    probability ``pzs[j]``, into node ``kids[j]`` of the next level. With
-    ``step`` false (the last stage) no option has successors.
+    ``intern(t, pi)`` files ``pi`` among level t's representatives with
+    ``_intern``. A new one is valued at once: ``values[t]`` gets the least
+    expected stage cost plus ``sum(pz * V(successor))`` over its
+    prescriptions, interning the successors on the way, and ``greedy[t]``
+    the first minimiser's option index and (outcome, successor) pairs. Each
+    level's representatives are thus found and expanded in breadth-first
+    order. The recursion goes through the instance, not a closure over
+    itself, so the pass leaves no reference cycle behind.
     """
-    nxt: list[BeliefState] = []
-    memo: dict = {}
-    first_opt, cost, first_succ, zs, pzs, kids = [0], [], [0], [], [], []
-    for pi in level:
-        for theta in belief_prescriptions(s, d, pi):
-            candidates += 1
-            if candidates > policy_cap:
+
+    def __init__(self, s: Scenario, d: DelayMatrix, policy_cap: int):
+        self.s, self.d, self.policy_cap = s, d, policy_cap
+        levels = range(s.horizon + 1)
+        self.memos: list[dict] = [{} for _ in levels]
+        self.reps: list[list[BeliefState]] = [[] for _ in levels]
+        self.values: list[list[float]] = [[] for _ in levels]
+        self.greedy: list[list[tuple]] = [[] for _ in levels]
+        self.candidates = 0
+
+    def intern(self, t: int, pi: BeliefState) -> int:
+        s, d = self.s, self.d
+        n = len(self.reps[t])
+        found = _intern(self.memos[t], self.reps[t], pi)
+        if found < n:
+            return found
+        best, best_i, best_succ = math.inf, 0, []
+        for i, theta in enumerate(belief_prescriptions(s, d, pi)):
+            self.candidates += 1
+            if self.candidates > self.policy_cap:
                 raise EnumerationCapExceeded(
-                    "prescription candidates", candidates, policy_cap,
-                    exact=False)
-            cost.append(expected_cost(s, pi, theta, d))
-            if step:
+                    "prescription candidates", self.candidates,
+                    self.policy_cap, exact=False)
+            v = expected_cost(s, pi, theta, d)
+            succ = []
+            if t < s.horizon:
+                ahead = self.values[t + 1]
                 for z, pz, b2 in belief_successors(s, d, pi, theta):
-                    zs.append(shared_z.setdefault(z, z))
-                    pzs.append(pz)
-                    kids.append(_intern(memo, nxt, b2))
-            first_succ.append(len(kids))
-        first_opt.append(len(cost))
-    return (first_opt, cost, first_succ, zs, pzs, kids), nxt, candidates
+                    kid = self.intern(t + 1, b2)
+                    succ.append((z, kid))
+                    v += pz * ahead[kid]
+            if v < best:
+                best, best_i, best_succ = v, i, succ
+        self.values[t].append(best)
+        self.greedy[t].append((best_i, best_succ))
+        return n
 
 
 def common_info_dp(s: Scenario, d: DelayMatrix,
@@ -379,46 +396,17 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
 
     The last agent's shared information is held by everybody, so choosing its
     complete prescription as a function of the belief solves the whole team
-    problem. Reachable beliefs are expanded forward (deduplicated within an
-    L-infinity tolerance), values are computed backward, and the greedy
-    strategy is read off along the reachable paths.
-
-    A prescription is only the input at a belief node: the forward pass keeps
-    each option's stage cost and successors, not the prescription, and the
-    read-out enumerates a reached node's options again to take the greedy one.
+    problem: V_t(pi) = min over theta of E_pi c(theta) + sum over z of
+    P(z | pi, theta) V_{t+1}(pi_z). ``_BeliefDP`` values each reachable belief
+    (deduplicated within an L-infinity tolerance) when it is first reached;
+    the greedy strategy is then read off along the reachable paths, rebuilding
+    each reached node's greedy prescription from its option index.
     """
     K, T = s.agent_count, s.horizon
-    levels: list[list[BeliefState]] = [[]]
-    memo: dict = {}
-    root_nodes = [(a, pa, _intern(memo, levels[0], b))
+    dp = _BeliefDP(s, d, policy_cap)
+    root_nodes = [(a, pa, dp.intern(0, b))
                   for a, pa, b in conditional_beliefs(s, d, K, (), assign_cap)]
-    candidates = 0
-    shared_z: dict[Realization, Realization] = {}  # one object per outcome
-    tables = []
-    for t in range(T + 1):
-        table, nxt, candidates = _expand_level(
-            s, d, levels[t], t < T, shared_z, candidates, policy_cap)
-        tables.append(table)
-        if t < T:
-            levels.append(nxt)
-
-    values: list[list[float]] = [[0.0] * len(level) for level in levels]
-    greedy: list[list[int]] = [[0] * len(level) for level in levels]  # option i
-    for t in range(T, -1, -1):
-        first_opt, cost, first_succ, _zs, pzs, kids = tables[t]
-        ahead = values[t + 1] if t < T else None
-        for n in range(len(levels[t])):
-            best, best_i = math.inf, 0
-            for i in range(first_opt[n], first_opt[n + 1]):
-                v = cost[i]
-                for j in range(first_succ[i], first_succ[i + 1]):
-                    v += pzs[j] * ahead[kids[j]]
-                if v < best:
-                    best, best_i = v, i
-            values[t][n] = best
-            greedy[t][n] = best_i
-
-    total = sum(pa * values[0][n] for _a, pa, n in root_nodes)
+    total = sum(pa * dp.values[0][n] for _a, pa, n in root_nodes)
 
     # read the greedy strategy off the reachable tree level by level, then
     # fill the rest; each reached node's prescription is rebuilt once
@@ -426,25 +414,22 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
         (j, t): {} for j in s.agents() for t in s.times()}
     frontier = [(a, n) for a, _pa, n in root_nodes]
     for t in range(T + 1):
-        first_opt, _cost, first_succ, zs, _pzs, kids = tables[t]
         chosen: dict[int, tuple[PrescriptionFunction, ...]] = {}
         later = []
         for a, n in frontier:
-            i = greedy[t][n]
+            i, succ = dp.greedy[t][n]
             if n not in chosen:
                 chosen[n] = next(itertools.islice(
-                    belief_prescriptions(s, d, levels[t][n]), i - first_opt[n],
-                    None)).parts
+                    belief_prescriptions(s, d, dp.reps[t][n]), i, None)).parts
             for j in s.agents():
                 parts[(j, t)][a] = chosen[n][j - 1]
             # the shared information of the successor class grows by the
             # new-information realization attached to the branch
-            later += [(a.merge(zs[m]), kids[m])
-                      for m in range(first_succ[i], first_succ[i + 1])]
+            later += [(a.merge(z), kid) for z, kid in succ]
         frontier = later
     return SolveResult(method="common-info", agent=None, value=total,
                        argmin=_total_strategy(s, d, K, parts, assign_cap),
-                       candidates=candidates)
+                       candidates=dp.candidates)
 
 
 # -- structural-form exhaustive search ------------------------------------------

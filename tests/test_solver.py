@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -8,7 +9,12 @@ from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import enumerate_realizations, memory_labels
 from womctl.prescription import policy_to_strategy
-from womctl.randgen import random_scenario, random_total_policy, sub_rng
+from womctl.randgen import (
+    random_scenario,
+    random_topology,
+    random_total_policy,
+    sub_rng,
+)
 from womctl.scenario import Policy
 from womctl.scenario_io import loads_scenario
 from womctl.serialize import dump_json, strategy_json
@@ -222,7 +228,6 @@ def test_domain_comparison_on_the_symmetric_pair(inst_a):
 def test_domain_comparison_subset_on_random_topologies():
     for i in range(20):
         rng = sub_rng(42, i)
-        from womctl.randgen import random_topology
         topo = random_topology(rng, max_agents=4)
         s = random_scenario(rng, topo, horizon=2)
         assert domain_comparison(s, min_delay_matrix(topo)).all_subset
@@ -351,8 +356,9 @@ def test_solvers_leave_no_cyclic_garbage(inst_a):
 
 
 def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
-    # the DP keeps costs and successor indices per option; only the greedy
-    # prescriptions are rebuilt, and only their parts reach the strategy
+    # the DP keeps each belief's value and its greedy option's index and
+    # successors; only the greedy prescriptions are rebuilt, and only their
+    # parts reach the strategy
     _topo, s, d = inst_a
     made: list[weakref.ref] = []
     live_at_readout: list[int] = []
@@ -373,7 +379,7 @@ def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
     monkeypatch.setattr(solver, "_total_strategy", counted)
     assert common_info_dp(s, d).candidates == 176
     assert live_at_readout == [0]
-    # the spy saw every option of the forward pass, and the read-out's
+    # the spy saw every option the DP valued, and the read-out's
     # rebuilds up to each greedy one
     assert len(made) == 186
 
@@ -389,6 +395,44 @@ def test_common_info_argmin_attains_its_value_on_random_cases():
             assert abs(evaluate_strategy(s, d, dp.argmin) - dp.value) <= 1e-9
             solved += 1
     assert solved == 15
+
+
+# two-agent horizon-2 cases, so that the DP recurses through levels 1 and 2
+# outside the bundled files: (sub_rng key, max_delay, noisy_obs) -> value
+# float.hex, candidates, sha256 of the exported strategy. With noisy sensors
+# each agent's own three observations alone give brute force 2**14 action
+# tables per agent, so the noisy cases are checked on the argmin's exact cost.
+HORIZON_2 = {
+    ((61, 21), 3, False): (
+        "0x1.efbbc182b770ap+0", 184,
+        "b34bd6836791083565074a83f4b3dcadb8e3b071fa136e7a79b136f0d1c2dd3b"),
+    ((63, 0), 1, False): (
+        "0x1.202bb0cf87d9cp+0", 120,
+        "5eacfbb868caffc2193a097cc72b177e83cef2afc99e99c065261bd3c966c440"),
+    ((50, 0), 1, True): (
+        "0x1.09b09fa2f349ep-1", 1488,
+        "0473bd9a8aa3ffbc47523363138c585590cb557eff769a6febdf51ed87cac215"),
+    ((50, 1), 1, True): (
+        "0x1.071c12ab39545p+1", 1392,
+        "17f19de173dce55dec8e78a3ec4e6ca435d58a842fb982e04f6261b8bd144918"),
+}
+
+
+@pytest.mark.parametrize("key, max_delay, noisy", HORIZON_2,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_common_info_dp_at_horizon_two_on_seeded_cases(key, max_delay, noisy):
+    rng = sub_rng(*key)
+    topo = random_topology(rng, max_agents=2, min_agents=2, max_delay=max_delay)
+    s = random_scenario(rng, topo, horizon=2, noisy_obs=noisy)
+    d = min_delay_matrix(topo)
+    dp = common_info_dp(s, d)
+    digest = hashlib.sha256(
+        dump_json(strategy_json(s, dp.argmin)).encode("utf-8")).hexdigest()
+    assert (dp.value.hex(), dp.candidates, digest) == \
+        HORIZON_2[(key, max_delay, noisy)]
+    assert abs(evaluate_strategy(s, d, dp.argmin) - dp.value) <= 1e-9
+    if not noisy:
+        assert abs(brute_force_optimal(s, d).value - dp.value) <= 1e-9
 
 
 def _dp_cases():

@@ -27,6 +27,7 @@ from womctl.cli import main
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a
 from womctl.infostruct import Realization, accessible_labels, memory_labels
+from womctl.randgen import random_scenario, random_topology, sub_rng
 from womctl.topology import DelayMatrix, min_delay_matrix
 
 from oracles import member_history_tree, node_members
@@ -233,6 +234,12 @@ def _tree_cases():
         if case.scenario:
             _idx, name, _topo, d, s = case.scenario
             yield pytest.param(s, d, None, id=name)
+    # every sensor above is deterministic; here both are noisy, so agent 2's
+    # noise weighs agent 1's classes
+    rng = sub_rng(70, 0)
+    topo = random_topology(rng, max_agents=2, min_agents=2)
+    yield pytest.param(random_scenario(rng, topo, horizon=1, noisy_obs=True),
+                       min_delay_matrix(topo), None, id="scn-noisy-pair")
 
 
 def _member_conditional(d, node, members):
