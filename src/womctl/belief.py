@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import (
     DomainMismatch,
@@ -33,6 +32,7 @@ from .infostruct import (
     obs as obs_label,
 )
 from .prescription import (
+    ActionTables,
     CompletePrescription,
     act,
     prescription_domain,
@@ -184,10 +184,10 @@ def expected_cost(s: Scenario, pi: BeliefState, theta: CompletePrescription,
 
 
 def belief_prescriptions(s: Scenario, d: DelayMatrix, pi: BeliefState
-                         ) -> Iterator[CompletePrescription]:
+                         ) -> ActionTables:
     """The owner's complete prescriptions at ``pi.time`` that differ on the
-    support of ``pi``, in canonical order: entries off it cannot change the
-    expected cost or the filter."""
+    support of ``pi``, in canonical order, as a sized view: entries off it
+    cannot change the expected cost or the filter."""
     k, t = pi.owner, pi.time
     doms = [prescription_domain(d, k, j, t) for j in s.agents()]
     return support_prescriptions(s, k, t, doms, [

@@ -85,6 +85,13 @@ class EnumerationCapExceeded(WomctlError):
         super().__init__(f"{what}: {qual}{size} exceeds cap {cap}")
 
 
+def check_cap(what: str, size: int, cap: int, exact: bool = True) -> None:
+    """Raise ``EnumerationCapExceeded`` if ``size`` exceeds ``cap``; every
+    enumeration is sized (or bounded below, ``exact=False``) before it runs."""
+    if size > cap:
+        raise EnumerationCapExceeded(what, size, cap, exact)
+
+
 class UndefinedPolicyEntry(WomctlError):
     def __init__(self, agent: int, time: int, realization):
         self.agent, self.time, self.realization = agent, time, realization

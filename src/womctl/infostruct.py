@@ -15,7 +15,7 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import DomainMismatch, EnumerationCapExceeded, NotBeyond
+from .errors import DomainMismatch, NotBeyond, check_cap
 from .topology import DelayMatrix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -208,8 +208,7 @@ def enumerate_realizations(
 ) -> list[Realization]:
     """All assignments over ``info`` in canonical label-then-value order."""
     total = count_realizations(s, info)
-    if total > cap:
-        raise EnumerationCapExceeded("realizations of info set", total, cap)
+    check_cap("realizations of info set", total, cap)
     pools = [label_space(s, l).values for l in info]
     out = []
     for combo in itertools.product(*pools):

@@ -11,8 +11,8 @@ transfer constructs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import DomainMismatch, UndefinedPolicyEntry, WomctlError
 from .infostruct import (
@@ -195,22 +195,54 @@ def full_table(s: Scenario, gamma: PrescriptionFunction,
     return out
 
 
+class ActionTables:
+    """One action per cell for each agent, as a sized, re-iterable view.
+
+    Iterating is ``itertools.product`` over one axis of actions per (agent,
+    cell): only action tuples are pooled, and the flat tuples come in the
+    order of a product of per-agent tables (agent, cell, action, last
+    fastest). ``size`` is their number, known before any table is built;
+    caps read it, since ``len`` fails above ``sys.maxsize``. ``split`` cuts a
+    flat tuple into per-agent tables; given ``build``, iterating yields
+    ``build(split(flat))``.
+    """
+
+    def __init__(self, actions, counts, build=None):
+        self.axes = [acts for acts, n in zip(actions, counts) for _ in range(n)]
+        self.cuts = list(itertools.accumulate(counts, initial=0))
+        self.size = math.prod(map(len, self.axes))
+        self.build = build
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        flats = itertools.product(*self.axes)
+        if self.build is None:
+            return flats
+        return map(self.build, map(self.split, flats))
+
+    def split(self, flat: tuple) -> tuple[tuple, ...]:
+        return tuple(flat[a:b] for a, b in itertools.pairwise(self.cuts))
+
+
 def support_prescriptions(s: Scenario, k: int, t: int, doms: list[InfoSet],
-                          reached) -> Iterator[CompletePrescription]:
+                          reached) -> ActionTables:
     """Agent k's complete prescriptions at t that differ on reached entries.
 
     ``doms[j - 1]`` is target j's prescription domain and ``reached[j - 1]``
     the set of its realizations that the caller's histories reach. Only
-    those entries are enumerated, in canonical order; every other entry
-    cannot affect the caller and takes the target's first action.
+    those entries are enumerated, in canonical order and as a sized view;
+    every other entry cannot affect the caller and takes the target's first
+    action.
     """
     dreals = [sorted(reals, key=lambda r: r.items) for reals in reached]
-    axes = [itertools.product(s.action_space(j, t).values,
-                              repeat=len(dreals[j - 1]))
-            for j in s.agents()]
-    for combo in itertools.product(*axes):
-        yield CompletePrescription(owner=k, time=t, parts=tuple(
-            PrescriptionFunction(owner=k, target=j, time=t, domain=doms[j - 1],
-                                 table=dict(zip(dreals[j - 1], combo[j - 1])),
-                                 default=s.action_space(j, t).values[0])
-            for j in s.agents()))
+    spaces = [s.action_space(j, t).values for j in s.agents()]
+
+    def build(tables) -> CompletePrescription:
+        return CompletePrescription(owner=k, time=t, parts=tuple(
+            PrescriptionFunction(owner=k, target=j, time=t, domain=dom,
+                                 table=dict(zip(reals, table)), default=acts[0])
+            for j, dom, reals, table, acts in zip(
+                s.agents(), doms, dreals, tables, spaces)))
+    return ActionTables(spaces, [len(reals) for reals in dreals], build)

@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     BadDistribution,
-    EnumerationCapExceeded,
     MissingTableEntry,
     UndefinedPolicyEntry,
     WomctlError,
+    check_cap,
 )
 from .infostruct import DEFAULT_ENUM_CAP, Realization, act, memory_labels, obs
 from .topology import DelayMatrix, Topology, min_delay_matrix
@@ -325,8 +325,7 @@ def enumerate_primitives(s: Scenario, cap: int = DEFAULT_ENUM_CAP
     for per_agent in v_sups:
         for sup in per_agent:
             total *= len(sup)
-    if total > cap:
-        raise EnumerationCapExceeded("primitive assignments", total, cap)
+    check_cap("primitive assignments", total, cap)
     return PrimitiveAssignments(
         total, x_sup, w_sups, [sup for per_agent in v_sups for sup in per_agent])
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import add, itemgetter
 
 from .belief import (
     BELIEF_TOL,
@@ -30,7 +30,7 @@ from .belief import (
     expected_cost,
     sufficient_info_labels,
 )
-from .errors import EnumerationCapExceeded
+from .errors import check_cap
 from .infostruct import (
     DEFAULT_ENUM_CAP,
     InfoSet,
@@ -45,6 +45,7 @@ from .infostruct import (
     obs,
 )
 from .prescription import (
+    ActionTables,
     FullStrategy,
     PrescriptionFunction,
     conditioning_labels,
@@ -208,15 +209,18 @@ class _Search:
 
     ``stage_cells(t, particles)`` returns, per agent, the sorted cells its
     action may depend on at t, each particle's cell index per agent, and any
-    extra data the caller needs to read the chosen tables back. Branches are
-    visited in canonical order (time, agent, cell, action) and ties keep the
-    first candidate. At the horizon every branch is a leaf whose value is
-    ``sum(p * (c + cost))`` over the particles, in particle order. After
-    ``visit(0, eng.initial_particles())``,
-    ``best_value`` is the least expected cost, ``best_snapshot`` the (t,
-    cells, extra, branch) choices attaining it per stage, and ``count`` the
-    number of candidates. The recursion goes through the instance, not a
-    closure over itself, so the search leaves no reference cycle behind.
+    extra data the caller needs to read the chosen tables back. A stage's
+    branches are an ``ActionTables`` view, visited in canonical order (time,
+    agent, cell, action); ties keep the first candidate. Every branch reaches
+    a leaf, so ``count`` plus the branch count is checked against the cap
+    before any branch is built: it raises exactly when the full count would.
+    At the horizon every branch is a leaf whose value is ``sum(p * (c +
+    cost))`` over the particles, in particle order. After ``visit(0,
+    eng.initial_particles())``, ``best_value`` is the least expected cost,
+    ``best_snapshot`` the (t, cells, extra, per-agent tables) choices
+    attaining it per stage, and ``count`` the number of candidates. The
+    recursion goes through the instance, not a closure over itself, so the
+    search leaves no reference cycle behind.
     """
 
     def __init__(self, eng: _Engine, stage_cells, what: str, policy_cap: int):
@@ -231,27 +235,29 @@ class _Search:
         eng = self.eng
         parts = eng.observe(t, particles)
         cells, pcell, extra = self.stage_cells(t, parts)
-        option_lists = [
-            list(itertools.product(eng.actions[t][j], repeat=len(cells[j])))
-            for j in range(eng.K)
-        ]
+        branches = ActionTables(eng.actions[t], [len(c) for c in cells])
+        least = self.count + branches.size
+        check_cap(self.what, least, self.policy_cap, exact=False)
+        if t == eng.T:
+            self.count = least  # the leaves of this stage
+        # a particle's action of agent j sits at j's first cell plus its
+        # index; one agent's getter takes a slice, so it too gives a tuple
+        take = [itemgetter(*map(add, branches.cuts, ix)) for ix in pcell] \
+            if eng.K > 1 else [itemgetter(slice(i, i + 1)) for (i,) in pcell]
         cost = eng.cost[t]
-        for branch in itertools.product(*option_lists):
-            u_list = [tuple(map(getitem, branch, ix)) for ix in pcell]
+        for branch in branches:
+            u_list = [get(branch) for get in take]
             if t < eng.T:
-                self.stack.append((t, cells, extra, branch))
+                self.stack.append((t, cells, extra, branches.split(branch)))
                 self.visit(t + 1, eng.advance(t, parts, u_list))
                 self.stack.pop()
                 continue
-            self.count += 1
-            if self.count > self.policy_cap:
-                raise EnumerationCapExceeded(self.what, self.count,
-                                             self.policy_cap, exact=False)
             value = sum([p * (c + cost[(x, u)])
                          for (p, x, _ys, _us, c), u in zip(parts, u_list)])
             if value < self.best_value:
                 self.best_value = value
-                self.best_snapshot = self.stack + [(t, cells, extra, branch)]
+                self.best_snapshot = self.stack + [
+                    (t, cells, extra, branches.split(branch))]
 
 
 def _search(eng: _Engine, stage_cells, what: str, policy_cap: int):
@@ -343,8 +349,10 @@ class _BeliefDP:
     """The common-information DP, valuing each belief when it is interned.
 
     ``intern(t, pi)`` files ``pi`` among level t's representatives with
-    ``_intern``. A new one is valued at once: ``values[t]`` gets the least
-    expected stage cost plus ``sum(pz * V(successor))`` over its
+    ``_intern``. A new one adds its number of prescriptions to
+    ``candidates``, and the cap is checked, before any is built (so it raises
+    exactly when the full count would). It is then valued: ``values[t]`` gets
+    the least expected stage cost plus ``sum(pz * V(successor))`` over its
     prescriptions, interning the successors on the way, and ``greedy[t]``
     the first minimiser's option index and (outcome, successor) pairs. Each
     level's representatives are thus found and expanded in breadth-first
@@ -367,13 +375,12 @@ class _BeliefDP:
         found = _intern(self.memos[t], self.reps[t], pi)
         if found < n:
             return found
+        options = belief_prescriptions(s, d, pi)
+        self.candidates += options.size
+        check_cap("prescription candidates", self.candidates, self.policy_cap,
+                  exact=False)
         best, best_i, best_succ = math.inf, 0, []
-        for i, theta in enumerate(belief_prescriptions(s, d, pi)):
-            self.candidates += 1
-            if self.candidates > self.policy_cap:
-                raise EnumerationCapExceeded(
-                    "prescription candidates", self.candidates,
-                    self.policy_cap, exact=False)
+        for i, theta in enumerate(options):
             v = expected_cost(s, pi, theta, d)
             succ = []
             if t < s.horizon:

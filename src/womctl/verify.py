@@ -30,7 +30,7 @@ from .belief import (
     state_step,
     sufficient_info_labels,
 )
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, check_cap
 from .infostruct import (
     DEFAULT_ENUM_CAP,
     InfoSet,
@@ -180,7 +180,9 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     precedes its subtree, and subtrees follow in edge order. A node's member
     classes live only while it waits on the stack, and a leaf holds none; one
     table per call shares equal realizations and sufficient states among the
-    nodes.
+    nodes. Nodes popped and stacked plus a node's options (each has a child)
+    are checked against ``node_cap`` before it is expanded, and the finished
+    tree's count after, so the cap raises exactly when the tree exceeds it.
     """
     table: dict = {}
     stack = [(HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
@@ -192,16 +194,15 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     while stack:
         node, classes = stack.pop()
         all_nodes.append(node)
-        if len(all_nodes) > node_cap:
-            raise EnumerationCapExceeded(
-                "conditioning histories", len(all_nodes), node_cap,
-                exact=False)
         t = node.time
         if t == s.horizon:
             continue
+        options = belief_prescriptions(s, d, node.belief)
+        check_cap("conditioning histories", len(all_nodes) + len(stack)
+                  + options.size, node_cap, exact=False)
         child_is_leaf = t + 1 == s.horizon
         pending = []
-        for theta in belief_prescriptions(s, d, node.belief):
+        for theta in options:
             thetas2 = node.thetas + (theta,)
             edges = []
             for a2, z, pa2, pi2, classes2 in class_successors(
@@ -212,6 +213,7 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
                 pending.append((child, None if child_is_leaf else classes2))
             node.children.append((theta, edges))
         stack.extend(reversed(pending))
+    check_cap("conditioning histories", len(all_nodes), node_cap)
     return roots, all_nodes
 
 

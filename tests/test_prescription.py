@@ -1,5 +1,9 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from womctl.belief import conditional_beliefs
 from womctl.errors import DomainMismatch
 from womctl.infostruct import (
     InfoSet,
@@ -10,6 +14,7 @@ from womctl.infostruct import (
     obs as obs_label,
 )
 from womctl.prescription import (
+    ActionTables,
     CompletePrescription,
     PrescriptionFunction,
     act,
@@ -18,10 +23,12 @@ from womctl.prescription import (
     positional_transfer,
     prescription_domain,
     strategy_to_policy,
+    support_prescriptions,
 )
 from womctl.randgen import random_strategy, random_total_policy, sub_rng
 from womctl.scenario import Policy, enumerate_primitives, propagate
 from womctl.scenario_io import loads_scenario
+from womctl.solver import DEFAULT_POLICY_CAP, _BeliefDP
 from womctl.topology import Topology, min_delay_matrix
 
 SYM2 = min_delay_matrix(Topology.of(2, [(1, 2, 1), (2, 1, 1)]))
@@ -218,3 +225,53 @@ def test_prescription_functions_are_unhashable(inst_a):
         hash(gamma)
     with pytest.raises(TypeError):
         hash(CompletePrescription(owner=2, time=1, parts=(gamma,)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)),
+                min_size=1, max_size=3))
+def test_action_tables_enumerate_per_agent_tables_in_product_order(shape):
+    # (actions, cells) per agent; an agent may have no cell or one action
+    actions = [tuple(f"u{j}{i}" for i in range(n)) for j, (n, _c) in
+               enumerate(shape)]
+    counts = [c for _n, c in shape]
+    view = ActionTables(actions, counts)
+    want = list(itertools.product(*[itertools.product(acts, repeat=c)
+                                    for acts, c in zip(actions, counts)]))
+    got = [view.split(flat) for flat in view]
+    assert got == want
+    assert len(view) == view.size == len(want)
+    assert [view.split(flat) for flat in view] == want  # iterable again
+
+
+def _nested_support_prescriptions(s, k, t, doms, reached):
+    """The per-agent tables pooled, then their product: the order that
+    ``support_prescriptions`` keeps."""
+    dreals = [sorted(reals, key=lambda r: r.items) for reals in reached]
+    axes = [itertools.product(s.action_space(j, t).values,
+                              repeat=len(dreals[j - 1])) for j in s.agents()]
+    return [tuple(PrescriptionFunction(
+        owner=k, target=j, time=t, domain=doms[j - 1],
+        table=dict(zip(dreals[j - 1], combo[j - 1])),
+        default=s.action_space(j, t).values[0]) for j in s.agents())
+        for combo in itertools.product(*axes)]
+
+
+def test_support_prescriptions_keep_the_nested_product_on_dp_beliefs(inst_a):
+    _topo, s, d = inst_a
+    K = s.agent_count
+    dp = _BeliefDP(s, d, DEFAULT_POLICY_CAP)
+    for _a, _pa, b in conditional_beliefs(s, d, K, ()):
+        dp.intern(0, b)
+    seen = 0
+    for reps in dp.reps:
+        for pi in reps:
+            doms = [prescription_domain(d, K, j, pi.time) for j in s.agents()]
+            reached = [{state.info.restrict(dom) for state, _p in pi.support()}
+                       for dom in doms]
+            options = support_prescriptions(s, K, pi.time, doms, reached)
+            want = _nested_support_prescriptions(s, K, pi.time, doms, reached)
+            assert [theta.parts for theta in options] == want
+            assert len(options) == len(want)
+            seen += 1
+    assert seen == sum(map(len, dp.reps)) > 1

@@ -1,6 +1,10 @@
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +309,60 @@ def test_policy_cap_aborts_brute_force(inst_a):
     assert e.value.cap == 1000
 
 
+@pytest.mark.parametrize("solve, cap", [
+    (brute_force_optimal, 262_144),
+    (lambda s, d, policy_cap: structural_search(s, d, 1, policy_cap), 212_992),
+], ids=["brute", "structural-k1"])
+def test_dfs_policy_cap_is_exact(inst_a, solve, cap):
+    # the full count fits its cap and raises one below it
+    _topo, s, d = inst_a
+    assert solve(s, d, policy_cap=cap).candidates == cap
+    with pytest.raises(EnumerationCapExceeded, match=f"at least {cap} exceeds"):
+        solve(s, d, policy_cap=cap - 1)
+
+
+def test_common_info_policy_cap_is_exact(inst_b):
+    _topo, s, d = inst_b
+    assert common_info_dp(s, d, policy_cap=5184).candidates == 5184
+    with pytest.raises(EnumerationCapExceeded, match="at least 5184 exceeds"):
+        common_info_dp(s, d, policy_cap=5183)
+
+
+BOUNDED_DFS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from womctl.errors import EnumerationCapExceeded
+from womctl.randgen import random_scenario, random_topology, sub_rng
+from womctl.solver import brute_force_optimal, structural_search
+from womctl.topology import min_delay_matrix
+rng = sub_rng(50, 2)
+topo = random_topology(rng, max_agents=2, min_agents=2)
+s = random_scenario(rng, topo, horizon=2, noisy_obs=True)
+d = min_delay_matrix(topo)
+for solve in (brute_force_optimal,
+              lambda s, d, policy_cap: structural_search(s, d, 1, policy_cap)):
+    try:
+        solve(s, d, policy_cap=60_000)
+    except EnumerationCapExceeded as e:
+        print(e)
+"""
+
+
+def test_dfs_raises_its_cap_before_building_the_branches():
+    # the first stage over the cap has 2**40 branches, 2**20 tables per
+    # agent: pooling those tables ran out of a 1 GiB address space before
+    # the cap was checked
+    src = Path(__file__).resolve().parent.parent / "src"
+    r = subprocess.run([sys.executable, "-c", BOUNDED_DFS], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 2
+    assert all("at least" in line and "exceeds cap 60000" in line
+               for line in lines)
+
+
 def test_last_stage_is_evaluated_without_advance(monkeypatch):
     # the DFS observes at the horizon, but its leaves add the last stage cost
     # themselves: no particle is advanced past T
@@ -366,9 +424,17 @@ def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
     real_total = solver._total_strategy
 
     def tracked(*args):
-        for theta in real_prescriptions(*args):
+        # the DP reads the view's size before its loop, so spy on the
+        # view's builder and keep the view
+        options = real_prescriptions(*args)
+        build = options.build
+
+        def spy(tables):
+            theta = build(tables)
             made.append(weakref.ref(theta))
-            yield theta
+            return theta
+        options.build = spy
+        return options
 
     def counted(*args):
         gc.collect()

@@ -317,6 +317,20 @@ def test_history_tree_caps_its_replay_and_its_node_count(inst_a):
         verify.history_tree(s, d, 1, node_cap=10)
 
 
+@pytest.mark.parametrize("s, d, stored", _tree_cases())
+def test_history_tree_node_cap_is_exact(s, d, stored):
+    # the tree fits a cap of its node count and raises one below it. The
+    # check before each expansion counts one child per option; where some
+    # option has more, as in most scenario cases, the check of the finished
+    # tree is the one that raises
+    for k in s.agents():
+        n = len(verify.history_tree(s, d, k)[1])
+        assert len(verify.history_tree(s, d, k, node_cap=n)[1]) == n
+        with pytest.raises(EnumerationCapExceeded, match=(
+                f"conditioning histories: (at least )?{n} exceeds cap {n - 1}")):
+            verify.history_tree(s, d, k, node_cap=n - 1)
+
+
 # -- failure-path pins ---------------------------------------------------------
 #
 # One corrupted seam per case: ``FAULTS[seam](real)`` returns the stand-in for
