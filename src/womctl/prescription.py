@@ -22,9 +22,8 @@ from .infostruct import (
     accessible_labels,
     enumerate_realizations,
     inaccessible_labels,
-    memory_labels,
 )
-from .scenario import Policy, Scenario
+from .scenario import Policy, Scenario, total_policy
 from .topology import DelayMatrix
 
 
@@ -108,6 +107,25 @@ def conditioning_labels(d: DelayMatrix, k: int, j: int, t: int) -> InfoSet:
     return accessible_labels(d, j, t)
 
 
+def total_strategy(s: Scenario, d: DelayMatrix, k: int, rows,
+                   cap: int = DEFAULT_ENUM_CAP) -> FullStrategy:
+    """Agent k's strategy, total over every conditioning realization.
+
+    For each time t, then target j, ``rows(j, t, prescription_domain(d, k,
+    j, t))`` does the pair's set-up and returns the map from a realization
+    of ``conditioning_labels(d, k, j, t)`` to its prescription; those
+    realizations are enumerated after it returns, in canonical order.
+    """
+    parts: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {}
+    for t in s.times():
+        for j in s.agents():
+            cond = conditioning_labels(d, k, j, t)
+            row = rows(j, t, prescription_domain(d, k, j, t))
+            parts[(j, t)] = {a: row(a) for a in enumerate_realizations(s, cond, cap)}
+    return FullStrategy(owner=k, agent_count=s.agent_count,
+                        horizon=s.horizon, parts=parts)
+
+
 def policy_to_strategy(s: Scenario, d: DelayMatrix, g: Policy, k: int,
                        cap: int = DEFAULT_ENUM_CAP) -> FullStrategy:
     """Split a control policy into agent k's prescription strategy.
@@ -117,28 +135,17 @@ def policy_to_strategy(s: Scenario, d: DelayMatrix, g: Policy, k: int,
     each prescription entry is the policy's action on the merged realization.
     Memory realizations absent from the policy table (unreachable ones) fall
     back to the first action of the target's space, keeping tables total.
+    Built by ``total_strategy``; a missing (j, t) table raises first.
     """
-    parts: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {}
-    for t in s.times():
-        for j in s.agents():
-            cond = conditioning_labels(d, k, j, t)
-            dom = prescription_domain(d, k, j, t)
-            fallback = s.action_space(j, t).values[0]
-            if (j, t) not in g.tables:
-                raise UndefinedPolicyEntry(j, t, "<no table>")
-            g_table = g.tables[(j, t)]
-            rows: dict[Realization, PrescriptionFunction] = {}
-            dom_reals = enumerate_realizations(s, dom, cap)
-            for a in enumerate_realizations(s, cond, cap):
-                table = {}
-                for l in dom_reals:
-                    merged = a.merge(l)
-                    table[l] = g_table.get(merged, fallback)
-                rows[a] = PrescriptionFunction(
-                    owner=k, target=j, time=t, domain=dom, table=table)
-            parts[(j, t)] = rows
-    return FullStrategy(owner=k, agent_count=s.agent_count,
-                        horizon=s.horizon, parts=parts)
+    def rows(j: int, t: int, dom: InfoSet):
+        if (j, t) not in g.tables:
+            raise UndefinedPolicyEntry(j, t, "<no table>")
+        g_table, fallback = g.tables[(j, t)], s.action_space(j, t).values[0]
+        dom_reals = enumerate_realizations(s, dom, cap)
+        return lambda a: PrescriptionFunction(
+            owner=k, target=j, time=t, domain=dom,
+            table={l: g_table.get(a.merge(l), fallback) for l in dom_reals})
+    return total_strategy(s, d, k, rows, cap)
 
 
 def strategy_to_policy(s: Scenario, d: DelayMatrix, psi: FullStrategy,
@@ -146,18 +153,15 @@ def strategy_to_policy(s: Scenario, d: DelayMatrix, psi: FullStrategy,
     """Collapse a prescription strategy back into a total control policy.
 
     Every agent's action on a memory realization is the prescription chosen
-    by the strategy on the shared part, applied to the private part.
+    by the strategy on the shared part, applied to the private part, which
+    is cut by ``prescription_domain`` so that ``act`` checks the chosen
+    prescription's domain. Built by ``total_policy``.
     """
-    k = psi.owner
-    g = Policy(agent_count=s.agent_count, horizon=s.horizon)
-    for t in s.times():
-        for j in s.agents():
-            cond = conditioning_labels(d, k, j, t)
-            dom = prescription_domain(d, k, j, t)
-            for m in enumerate_realizations(s, memory_labels(d, j, t), cap):
-                gamma = psi.gamma(j, t, m.restrict(cond))
-                g.set_action(j, t, m, act(gamma, m.restrict(dom)))
-    return g
+    def actions(j: int, t: int):
+        cond = conditioning_labels(d, psi.owner, j, t)
+        dom = prescription_domain(d, psi.owner, j, t)
+        return lambda m: act(psi.gamma(j, t, m.restrict(cond)), m.restrict(dom))
+    return total_policy(s, d, actions, cap)
 
 
 def positional_transfer(psi: FullStrategy, j: int, s: Scenario,

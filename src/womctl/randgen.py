@@ -22,19 +22,9 @@ import itertools
 import math
 import sys
 
-from .infostruct import (
-    DEFAULT_ENUM_CAP,
-    Realization,
-    enumerate_realizations,
-    memory_labels,
-)
-from .prescription import (
-    FullStrategy,
-    PrescriptionFunction,
-    conditioning_labels,
-    prescription_domain,
-)
-from .scenario import Distribution, FiniteSpace, Policy, Scenario
+from .infostruct import DEFAULT_ENUM_CAP, InfoSet, enumerate_realizations
+from .prescription import FullStrategy, PrescriptionFunction, total_strategy
+from .scenario import Distribution, FiniteSpace, Policy, Scenario, total_policy
 from .topology import DelayMatrix, Topology
 
 _M32 = 0xFFFFFFFF
@@ -284,34 +274,23 @@ def random_scenario(rng: Rng, topology: Topology, horizon: int,
 
 def random_total_policy(rng: Rng, s: Scenario, d: DelayMatrix,
                         cap: int = DEFAULT_ENUM_CAP) -> Policy:
-    """A policy defined on every memory realization, reachable or not."""
-    g = Policy(agent_count=s.agent_count, horizon=s.horizon)
-    for k in s.agents():
-        for t in s.times():
-            actions = s.action_space(k, t).values
-            for m in enumerate_realizations(s, memory_labels(d, k, t), cap):
-                g.set_action(k, t, m, actions[rng.integers(0, len(actions))])
-    return g
+    """A policy defined on every memory realization, reachable or not, built
+    by ``total_policy``: actions are drawn in (agent, time, memory) order."""
+    def actions(k: int, t: int):
+        values = s.action_space(k, t).values
+        return lambda _m: values[rng.integers(0, len(values))]
+    return total_policy(s, d, actions, cap)
 
 
 def random_strategy(rng: Rng, s: Scenario, d: DelayMatrix, k: int,
                     cap: int = DEFAULT_ENUM_CAP) -> FullStrategy:
-    """A random total prescription strategy owned by agent k."""
-    parts: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {}
-    for t in s.times():
-        for j in s.agents():
-            cond = conditioning_labels(d, k, j, t)
-            dom = prescription_domain(d, k, j, t)
-            dom_reals = enumerate_realizations(s, dom, cap)
-            actions = s.action_space(j, t).values
-            rows = {}
-            for a in enumerate_realizations(s, cond, cap):
-                table = {
-                    l: actions[rng.integers(0, len(actions))]
-                    for l in dom_reals
-                }
-                rows[a] = PrescriptionFunction(owner=k, target=j, time=t,
-                                               domain=dom, table=table)
-            parts[(j, t)] = rows
-    return FullStrategy(owner=k, agent_count=s.agent_count,
-                        horizon=s.horizon, parts=parts)
+    """A random total prescription strategy owned by agent k, built by
+    ``total_strategy``: actions are drawn in (time, target, conditioning
+    realization, domain realization) order."""
+    def rows(j: int, t: int, dom: InfoSet):
+        dom_reals = enumerate_realizations(s, dom, cap)
+        values = s.action_space(j, t).values
+        return lambda _a: PrescriptionFunction(
+            owner=k, target=j, time=t, domain=dom,
+            table={l: values[rng.integers(0, len(values))] for l in dom_reals})
+    return total_strategy(s, d, k, rows, cap)

@@ -22,7 +22,8 @@ from .errors import (
     WomctlError,
     check_cap,
 )
-from .infostruct import DEFAULT_ENUM_CAP, Realization, act, memory_labels, obs
+from .infostruct import (DEFAULT_ENUM_CAP, Realization, act,
+                         enumerate_realizations, memory_labels, obs)
 from .topology import DelayMatrix, Topology, min_delay_matrix
 
 if TYPE_CHECKING:
@@ -230,6 +231,23 @@ class Policy:
 
     def set_action(self, k: int, t: int, memory: Realization, u: str) -> None:
         self.tables.setdefault((k, t), {})[memory] = u
+
+
+def total_policy(s: Scenario, d: DelayMatrix, actions,
+                 cap: int = DEFAULT_ENUM_CAP) -> Policy:
+    """A policy defined on every memory realization, reachable or not.
+
+    For each agent k, then time t, ``actions(k, t)`` does the pair's set-up
+    and returns the map from a realization of ``memory_labels(d, k, t)`` to
+    its action, applied to each realization in canonical order.
+    """
+    g = Policy(agent_count=s.agent_count, horizon=s.horizon)
+    for k in s.agents():
+        for t in s.times():
+            action = actions(k, t)
+            mems = enumerate_realizations(s, memory_labels(d, k, t), cap)
+            g.tables[(k, t)] = {m: action(m) for m in mems}
+    return g
 
 
 def propagate(s: Scenario, d: DelayMatrix, prim: PrimitiveAssignment,

@@ -39,7 +39,6 @@ from .infostruct import (
     accessible_labels,
     act,
     count_realizations,
-    enumerate_realizations,
     inaccessible_labels,
     memory_labels,
     obs,
@@ -48,9 +47,9 @@ from .prescription import (
     ActionTables,
     FullStrategy,
     PrescriptionFunction,
-    conditioning_labels,
     prescription_domain,
     strategy_to_policy,
+    total_strategy,
 )
 from .scenario import Policy, Scenario, enumerate_primitives, propagate
 from .topology import DelayMatrix
@@ -272,18 +271,17 @@ def _total_strategy(s: Scenario, d: DelayMatrix, k: int, parts,
                     assign_cap: int) -> FullStrategy:
     """Agent k's strategy from prescriptions read off reachable histories.
 
-    Conditioning realizations that no history reaches get the prescription
+    ``parts[(j, t)]`` maps the reached conditioning realizations to their
+    prescriptions; ``total_strategy`` gives every other one the prescription
     of the target's first action, so that every table is total.
     """
-    for (j, t), rows in parts.items():
+    def rows(j: int, t: int, dom: InfoSet):
+        reached = parts.get((j, t), {})
         fallback = PrescriptionFunction(
-            owner=k, target=j, time=t, domain=prescription_domain(d, k, j, t),
-            table={}, default=s.action_space(j, t).values[0])
-        for a in enumerate_realizations(s, conditioning_labels(d, k, j, t),
-                                        assign_cap):
-            rows.setdefault(a, fallback)
-    return FullStrategy(owner=k, agent_count=s.agent_count, horizon=s.horizon,
-                        parts=parts)
+            owner=k, target=j, time=t, domain=dom, table={},
+            default=s.action_space(j, t).values[0])
+        return lambda a: reached.get(a, fallback)
+    return total_strategy(s, d, k, rows, assign_cap)
 
 
 def brute_force_optimal(s: Scenario, d: DelayMatrix,
@@ -417,8 +415,7 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
 
     # read the greedy strategy off the reachable tree level by level, then
     # fill the rest; each reached node's prescription is rebuilt once
-    parts: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {
-        (j, t): {} for j in s.agents() for t in s.times()}
+    parts: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {}
     frontier = [(a, n) for a, _pa, n in root_nodes]
     for t in range(T + 1):
         chosen: dict[int, tuple[PrescriptionFunction, ...]] = {}
@@ -429,7 +426,7 @@ def common_info_dp(s: Scenario, d: DelayMatrix,
                 chosen[n] = next(itertools.islice(
                     belief_prescriptions(s, d, dp.reps[t][n]), i, None)).parts
             for j in s.agents():
-                parts[(j, t)][a] = chosen[n][j - 1]
+                parts.setdefault((j, t), {})[a] = chosen[n][j - 1]
             # the shared information of the successor class grows by the
             # new-information realization attached to the branch
             later += [(a.merge(z), kid) for z, kid in succ]
@@ -514,18 +511,17 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
     value, snapshot, count = _search(eng, belief_cells,
                                      "structural strategy candidates",
                                      policy_cap)
-    parts_out: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {
-        (j, t): {} for j in range(1, K + 1) for t in range(T + 1)}
+    parts_out: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {}
     for t, cells_t, cond_pairs_t, branch in snapshot:
         for j in range(1, K + 1):
             for ak, gid in cond_pairs_t[j - 1]:
                 table = {_realize(dom_raw[(j, t)], domkey): u
                          for (g, domkey), u in zip(cells_t[j - 1], branch[j - 1])
                          if g == gid}
-                parts_out[(j, t)][_realize(acc_raw[cond_agent[j]][t], ak)] = \
-                    PrescriptionFunction(owner=k, target=j, time=t,
-                                         domain=doms[(j, t)], table=table,
-                                         default=s.action_space(j, t).values[0])
+                cond = _realize(acc_raw[cond_agent[j]][t], ak)
+                parts_out.setdefault((j, t), {})[cond] = PrescriptionFunction(
+                    owner=k, target=j, time=t, domain=doms[(j, t)], table=table,
+                    default=s.action_space(j, t).values[0])
     return SolveResult(method="structural", agent=k, value=value,
                        argmin=_total_strategy(s, d, k, parts_out, assign_cap),
                        candidates=count)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from womctl.belief import conditional_beliefs
 from womctl.errors import DomainMismatch
+from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import (
     InfoSet,
     Realization,
@@ -28,8 +30,15 @@ from womctl.prescription import (
 from womctl.randgen import random_strategy, random_total_policy, sub_rng
 from womctl.scenario import Policy, enumerate_primitives, propagate
 from womctl.scenario_io import loads_scenario
-from womctl.solver import DEFAULT_POLICY_CAP, _BeliefDP
+from womctl.serialize import dump_json, policy_json, strategy_json
+from womctl.solver import (
+    DEFAULT_POLICY_CAP,
+    _BeliefDP,
+    common_info_dp,
+    structural_search,
+)
 from womctl.topology import Topology, min_delay_matrix
+from womctl.verify import build_inputs
 
 SYM2 = min_delay_matrix(Topology.of(2, [(1, 2, 1), (2, 1, 1)]))
 
@@ -275,3 +284,88 @@ def test_support_prescriptions_keep_the_nested_product_on_dp_beliefs(inst_a):
             assert len(options) == len(want)
             seen += 1
     assert seen == sum(map(len, dp.reps)) > 1
+
+
+def _fixture_cases():
+    for name, load in (("instance_a", instance_a), ("instance_b", instance_b)):
+        topo, s = load()
+        yield name, s, min_delay_matrix(topo)
+
+
+def _scenario_cases(random_n: int, seed: int):
+    for case in build_inputs(None, random_n, seed):
+        if case.scenario:
+            _idx, name, _topo, d, s = case.scenario
+            yield name, s, d
+
+
+# sha256 of the serialized random_strategy(sub_rng(900, k), ..., k) for each
+# owner k, and of random_total_policy(sub_rng(901), ...): verify's instance
+# counts depend on these streams, so the builders' draw order is pinned
+DRAWS = {
+    "instance_a": (
+        ["7f578680992c2b0a3d8843c7ce8b95f33439bbf72a627e22d7bcba9e44a37944",
+         "8c19de49c1c56f7c07877eda5c9c0a190e0bc5c32060ee5eae70ed9cc275cc0b"],
+        "4c627d6adf5f669c1c9b2b9d3f3e7856b559e7e47b86d650d4a0fba7a62ebd03"),
+    "instance_b": (
+        ["cdab9f3f1b5e36a882280ce261c9b7799734fff61f10a40832cff30958482065",
+         "5e2a4237b9becd081bac1eb31b9b21412f6e63aa028cf3e2a878fa7828b6788d",
+         "f39aa1ac901b97f6c13aad782b67f4bb3afb618953bba37de06081c39dd8792b"],
+        "72fd719f17b73780beb5d26bf9905565b5e6d9bf12f54a1edc9ab81104dddee2"),
+    "scn-0": (
+        ["f5cddf250302eb32d00d0c2cdd45afd4a5156624b6b7d90a44a0f22aea2c380c",
+         "7407e6a09a6389fa17f9e948d17150f88001946e04aff64007484afc0cfde8c2"],
+        "bef58d23cab7df2827f4e1895a938dbcecfe0b28cf80bca2bc3f9054341a6c20"),
+    "scn-1": (
+        ["282a6eae95cd7303ee0ccb3f6e0307e97bd7341a51e2b082d9536aa006f8805a",
+         "d2806a3aeac509b1f19ef54e542aa1a278225136a89260343ceca4ff128020c2"],
+        "ee4f96b4f0e8d8c8708879cb998545592f7eff2b7a0cb20164504c86219f703c"),
+    "scn-single": (
+        ["648a465ad2e1fccb3fa638aafb403baa857882120a699be8bc6536f2c5e79424"],
+        "f5af5a7de8e7716418f7471668d2bfe2102e5787ccdf32d7bbf4bce2e2242ad5"),
+}
+
+
+def test_random_builders_draw_in_the_pinned_order():
+    def sha(doc):
+        return hashlib.sha256(dump_json(doc).encode()).hexdigest()
+    got = {}
+    for name, s, d in [*_fixture_cases(), *_scenario_cases(1, 0)]:
+        got[name] = (
+            [sha(strategy_json(s, random_strategy(sub_rng(900, k), s, d, k)))
+             for k in s.agents()],
+            sha(policy_json(random_total_policy(sub_rng(901), s, d))))
+    assert got == DRAWS
+
+
+def _assert_total_policy(s, d, g):
+    assert list(g.tables) == [(k, t) for k in s.agents() for t in s.times()]
+    for (k, t), table in g.tables.items():
+        assert list(table) == enumerate_realizations(s, memory_labels(d, k, t))
+
+
+def _assert_total_strategy(s, d, psi):
+    k = psi.owner
+    assert list(psi.parts) == [(j, t) for t in s.times() for j in s.agents()]
+    for (j, t), rows in psi.parts.items():
+        assert list(rows) == enumerate_realizations(
+            s, conditioning_labels(d, k, j, t))
+        dom = prescription_domain(d, k, j, t)
+        assert all(gamma.domain == dom for gamma in rows.values())
+
+
+@pytest.mark.parametrize("s, d", [
+    pytest.param(s, d, id=name) for name, s, d in _fixture_cases()] + [
+    pytest.param(s, d, id=f"seed{seed}-{name}")
+    for seed in range(5) for name, s, d in _scenario_cases(40, seed)])
+def test_total_tables_are_keyed_by_every_realization_in_canonical_order(s, d):
+    g = random_total_policy(sub_rng(902), s, d)
+    _assert_total_policy(s, d, g)
+    strategies = [common_info_dp(s, d).argmin]
+    for k in s.agents():
+        strategies += [policy_to_strategy(s, d, g, k),
+                       random_strategy(sub_rng(903, k), s, d, k),
+                       structural_search(s, d, k).argmin]
+    for psi in strategies:
+        _assert_total_strategy(s, d, psi)
+        _assert_total_policy(s, d, strategy_to_policy(s, d, psi))

@@ -541,3 +541,37 @@ def test_intern_memo_returns_what_the_scan_returns(s, d, counts, monkeypatch):
     assert memo_hits
     if counts:
         assert (len(memo_hits), sum(memo_hits)) == counts
+
+
+def _kept_dps(monkeypatch) -> list:
+    """Every ``_BeliefDP`` that ``common_info_dp`` makes from here on."""
+    made = []
+    real = solver._BeliefDP
+
+    def keep(*args):
+        made.append(real(*args))
+        return made[-1]
+    monkeypatch.setattr(solver, "_BeliefDP", keep)
+    return made
+
+
+@pytest.mark.parametrize("s, d, counts", _dp_cases())
+def test_belief_representatives_never_outnumber_candidates(s, d, counts,
+                                                           monkeypatch):
+    # a new representative adds its prescriptions, at least one, to
+    # candidates before it is valued
+    dps = _kept_dps(monkeypatch)
+    candidates = common_info_dp(s, d).candidates
+    assert sum(map(len, dps[0].reps)) <= candidates == dps[0].candidates
+
+
+@pytest.mark.parametrize("cap", [100, 1000, 5183])
+def test_a_capped_dp_holds_at_most_cap_plus_one_representatives(inst_b, cap,
+                                                                monkeypatch):
+    # the cap is checked right after a new representative is counted, so
+    # the one that crosses it is the only one beyond the cap
+    _topo, s, d = inst_b
+    dps = _kept_dps(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded):
+        common_info_dp(s, d, policy_cap=cap)
+    assert sum(map(len, dps[0].reps)) <= cap + 1
