@@ -28,6 +28,7 @@ from .infostruct import (
     accessible_labels,
     act as act_label,
     enumerate_realizations,
+    history_slots,
     new_info_labels,
     obs as obs_label,
 )
@@ -259,16 +260,10 @@ def belief_update(s: Scenario, d: DelayMatrix, pi: BeliefState,
 # A class is ``(prob, x, history)``: the primitive assignments of one
 # conditioning class that agree on the plant state and on every observation
 # and action so far, merged. ``history`` holds those values by slot (see
-# ``_slots``), so it grows by 2K values per step. ``table`` interns the
+# ``infostruct.history_slots``), so it grows by 2K values per step: the same
+# record as a solver particle, less the cost. ``table`` interns the
 # Realizations and SufficientStates built from classes: keys are plain tuples,
 # and equal ones map to one shared object.
-
-def _slots(labels: InfoSet, agents: int) -> tuple[int, ...]:
-    """Positions of ``labels`` in a class history: at each time the K
-    observations, then the K actions."""
-    return tuple(2 * agents * l.time + agents * l.kind + l.agent - 1
-                 for l in labels)
-
 
 def _shared(table: dict, labels: InfoSet, slots: tuple[int, ...],
             history: tuple[str, ...]) -> Realization:
@@ -287,9 +282,9 @@ def _conditionals(d: DelayMatrix, k: int, t: int, merged: dict[tuple, float],
     probability, in canonical ``a`` order. Every key shares the labels, so
     value order is ``Realization.items`` order."""
     want = accessible_labels(d, k, t)
-    slots = _slots(want, d.agent_count)
+    slots = history_slots(want, d.agent_count)
     info = sufficient_info_labels(d, k, t)
-    info_slots = _slots(info, d.agent_count)
+    info_slots = history_slots(info, d.agent_count)
     groups: dict[tuple, list] = {}
     for (x, history), p in merged.items():
         groups.setdefault(tuple(history[i] for i in slots), []).append(
@@ -350,7 +345,7 @@ def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
     """
     agents = s.agent_count
     # per target: the part, its slots, and the actions found so far by value
-    parts = [(gamma, _slots(gamma.domain, agents), {})
+    parts = [(gamma, history_slots(gamma.domain, agents), {})
              for gamma in theta.parts]
     w_sup = s.w_dists[t].support()
     v_axes = [s.v_dists[(j, t + 1)].support() for j in s.agents()]
@@ -377,7 +372,7 @@ def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
                 key = (x2, history + tuple(y for y, _py in ys))
                 merged[key] = merged.get(key, 0.0) + q
     z_labels = new_info_labels(d, k, t + 1)
-    z_slots = _slots(z_labels, agents)
+    z_slots = history_slots(z_labels, agents)
     return [(a, _shared(table, z_labels, z_slots, group[0][2]), pa, pi, group)
             for a, pa, pi, group in _conditionals(d, k, t + 1, merged, table)]
 

@@ -127,6 +127,16 @@ class Realization:
         return ",".join(f"{l}={v}" for l, v in self.items)
 
 
+def history_slots(labels: Iterable[VarLabel], agents: int) -> tuple[int, ...]:
+    """Positions of ``labels`` in a flat trajectory history of K = ``agents``
+    agents: at each time t the K observations, then the K actions, so label
+    (j, t, kind) sits at 2Kt + K*kind + j - 1, and a history through the
+    observations at t holds 2Kt + K values. The solvers' particles and the
+    conditioning classes both keep this layout."""
+    return tuple(2 * agents * l.time + agents * l.kind + l.agent - 1
+                 for l in labels)
+
+
 # One shared InfoSet per distinct label tuple that the two caches below return:
 # many (d, k, t) keys yield the same set.
 _SETS: dict[InfoSet, InfoSet] = {}

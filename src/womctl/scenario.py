@@ -165,9 +165,18 @@ class Scenario:
                 raise WomctlError(f"transition{key} lies outside the declared domain")
             if x2 not in self.state_space.values:
                 raise WomctlError(f"transition{key} -> {x2!r} not a state")
-        for key, _c in self.cost.items():
+        worst = [0.0] * (self.horizon + 1)
+        for key, c in self.cost.items():
             if key not in valid_keys:
                 raise WomctlError(f"cost{key} lies outside the declared domain")
+            worst[key[0]] = max(worst[key[0]], abs(c))
+        # this sum bounds every total cost; an expectation of one can exceed
+        # it a little, since distributions may sum to 1 + DIST_TOL, so the
+        # sum must stay below half the float range
+        if not math.isfinite(2 * sum(worst)):
+            raise WomctlError(
+                f"table 'cost': the largest |cost| summed over the stages is "
+                f"{sum(worst)!r}, so an expected total cost can overflow")
         for key, y in self.observation.items():
             k, t, x, v = key
             if not (k in self.agents() and t in self.times()

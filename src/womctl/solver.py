@@ -34,14 +34,12 @@ from .errors import check_cap
 from .infostruct import (
     DEFAULT_ENUM_CAP,
     InfoSet,
-    Kind,
     Realization,
     accessible_labels,
-    act,
     count_realizations,
+    history_slots,
     inaccessible_labels,
     memory_labels,
-    obs,
 )
 from .prescription import (
     ActionTables,
@@ -103,30 +101,15 @@ def evaluate_strategy(s: Scenario, d: DelayMatrix, psi: FullStrategy,
 
 # -- shared stage-by-stage enumeration machinery -------------------------------
 
-RawLabel = tuple[int, int, int]  # (agent, time, kind value)
-
-
-def _raw(labels: InfoSet) -> tuple[RawLabel, ...]:
-    return tuple((l.agent, l.time, int(l.kind)) for l in labels)
-
-
-def _value_of(ys, us, lbl: RawLabel) -> str:
-    a, t, kind = lbl
-    return ys[a - 1][t] if kind == int(Kind.OBS) else us[a - 1][t]
-
-
-def _realize(raw: tuple[RawLabel, ...], values) -> Realization:
-    return Realization.of({(obs if kind == Kind.OBS else act)(a, t): v
-                           for (a, t, kind), v in zip(raw, values)})
-
-
 class _Engine:
     """Precomputed tables and particle propagation for the DFS solvers.
 
-    A particle is (prob, x, ys, us, cost): one class of primitive assignments
-    that agree on everything decision-relevant so far. Particles with
-    identical histories are merged, which keeps their number at the count of
-    distinguishable trajectory prefixes.
+    A particle is (prob, x, history, cost): one class of primitive
+    assignments that agree on everything decision-relevant so far.
+    ``history`` is the flat record of the conditioning classes in ``belief``:
+    every observation and action so far, read by ``history_slots``. Particles
+    with equal (x, history, cost) are merged, which keeps their number at the
+    count of distinguishable trajectory prefixes.
     """
 
     def __init__(self, s: Scenario, d: DelayMatrix):
@@ -139,47 +122,41 @@ class _Engine:
                        if t2 == t} for t in range(T + 1)]
         self.cost = [{(x, u): c for (t2, x, u), c in s.cost.items() if t2 == t}
                      for t in range(T + 1)]
-        self.obsf = [{(k, x, v): y for (k, t2, x, v), y in s.observation.items()
-                      if t2 == t} for t in range(T + 1)]
         self.wsup = [s.w_dists[t].support() for t in range(T + 1)]
-        self.vprof = []
+        # per t and plant state, one (K observations, probability) pair per
+        # sensor-noise profile
+        self.obs_branches = []
         for t in range(T + 1):
             axes = [s.v_dists[(k, t)].support() for k in s.agents()]
-            prof = []
-            for vs in itertools.product(*axes):
-                p = 1.0
-                for _, pv in vs:
-                    p *= pv
-                prof.append((tuple(v for v, _ in vs), p))
-            self.vprof.append(prof)
-        # memory labels per (agent, t), in the order they arrive
-        self.memlab: dict[int, list[tuple[RawLabel, ...]]] = {}
+            profiles = [(vs, math.prod(pv for _, pv in vs))
+                        for vs in itertools.product(*axes)]
+            self.obs_branches.append({x: [
+                (tuple(s.h(k, t, x, v) for k, (v, _) in enumerate(vs, 1)), p)
+                for vs, p in profiles] for x in s.state_space.values})
+        # per agent and t: the memory labels in the order they arrive, and
+        # their slots
+        self.memlab: dict[int, list[tuple[tuple, tuple]]] = {}
         for k in s.agents():
-            alls = []
-            prev = None
-            for t in range(T + 1):
-                cur = memory_labels(d, k, t)
-                fresh = cur if prev is None else cur.difference(prev)
-                alls.append((alls[-1] if alls else ()) + _raw(fresh))
-                prev = cur
-            self.memlab[k] = alls
+            mems = [memory_labels(d, k, t) for t in range(T + 1)]
+            alls = [mems[0].labels]
+            for prev, cur in zip(mems, mems[1:]):
+                alls.append(alls[-1] + cur.difference(prev).labels)
+            self.memlab[k] = [(l, history_slots(l, K)) for l in alls]
 
     def initial_particles(self):
-        empty = tuple(() for _ in range(self.K))
-        return [(p, x0, empty, empty, 0.0)
-                for x0, p in self.s.init_dist.support()]
+        return [(p, x0, (), 0.0) for x0, p in self.s.init_dist.support()]
 
     def observe(self, t: int, particles):
-        """Branch over sensor noises and extend the observations."""
+        """Branch over sensor noises and append the K observations."""
         merged: dict = {}
-        for (p, x, ys, us, c) in particles:
-            for vprofile, pv in self.vprof[t]:
-                ys2 = tuple(ys[j] + (self.obsf[t][(j + 1, x, vprofile[j])],)
-                            for j in range(self.K))
-                key = (x, ys2, us, c)
+        branches = self.obs_branches[t]
+        for (p, x, h, c) in particles:
+            for ys, pv in branches[x]:
+                h2 = h + ys
+                key = (x, h2, c)
                 entry = merged.get(key)
                 if entry is None:
-                    merged[key] = [p * pv, x, ys2, us, c]
+                    merged[key] = [p * pv, x, h2, c]
                 else:
                     entry[0] += p * pv
         return [tuple(e) for _, e in sorted(merged.items())]
@@ -189,15 +166,15 @@ class _Engine:
         Only stages before the horizon advance: the last stage's cost is
         added at the leaves of ``_Search.visit``."""
         merged: dict = {}
-        for (p, x, ys, us, c), u in zip(particles, u_list):
-            us2 = tuple(us[j] + (u[j],) for j in range(self.K))
+        for (p, x, h, c), u in zip(particles, u_list):
+            h2 = h + u
             c2 = c + self.cost[t][(x, u)]
             for w, pw in self.wsup[t]:
                 x2 = self.trans[t][(x, u, w)]
-                key = (x2, ys, us2, c2)
+                key = (x2, h2, c2)
                 entry = merged.get(key)
                 if entry is None:
-                    merged[key] = [p * pw, x2, ys, us2, c2]
+                    merged[key] = [p * pw, x2, h2, c2]
                 else:
                     entry[0] += p * pw
         return [tuple(e) for _, e in sorted(merged.items())]
@@ -252,7 +229,7 @@ class _Search:
                 self.stack.pop()
                 continue
             value = sum([p * (c + cost[(x, u)])
-                         for (p, x, _ys, _us, c), u in zip(parts, u_list)])
+                         for (p, x, _h, c), u in zip(parts, u_list)])
             if value < self.best_value:
                 self.best_value = value
                 self.best_snapshot = self.stack + [
@@ -298,8 +275,8 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
     K = eng.K
 
     def memkeys(t: int, parts):
-        keys = [[tuple(_value_of(pt[2], pt[3], lbl) for lbl in eng.memlab[j][t])
-                 for pt in parts] for j in range(1, K + 1)]
+        keys = [[tuple([h[i] for i in eng.memlab[j][t][1]])
+                 for _p, _x, h, _c in parts] for j in range(1, K + 1)]
         reach = [sorted(set(ks)) for ks in keys]
         pidx = [tuple(r.index(key) for r, key in zip(reach, pkeys))
                 for pkeys in zip(*keys)]
@@ -311,8 +288,8 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
     for t, reach, _extra, branch in snapshot:
         for j in range(K):
             for memkey, u in zip(reach[j], branch[j]):
-                policy.set_action(j + 1, t,
-                                  _realize(eng.memlab[j + 1][t], memkey), u)
+                policy.set_action(j + 1, t, Realization.of(
+                    zip(eng.memlab[j + 1][t][0], memkey)), u)
     return SolveResult(method="brute", agent=None, value=value,
                        argmin=policy, candidates=count)
 
@@ -453,29 +430,30 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
     eng = _Engine(s, d)
     K, T = eng.K, eng.T
     watchers = list(range(k, K + 1))  # agents whose beliefs can be conditioned on
-    acc_raw = {i: [_raw(accessible_labels(d, i, t)) for t in range(T + 1)]
-               for i in range(1, K + 1)}
-    suff_raw = {i: [_raw(sufficient_info_labels(d, i, t)) for t in range(T + 1)]
-                for i in watchers}
+    acc = {i: [accessible_labels(d, i, t) for t in range(T + 1)]
+           for i in range(1, K + 1)}
+    acc_slots = {i: [history_slots(a, K) for a in acc[i]] for i in acc}
+    suff_slots = {i: [history_slots(sufficient_info_labels(d, i, t), K)
+                      for t in range(T + 1)] for i in watchers}
     doms = {(j, t): prescription_domain(d, k, j, t)
             for j in range(1, K + 1) for t in range(T + 1)}
-    dom_raw = {key: _raw(dom) for key, dom in doms.items()}
+    dom_slots = {key: history_slots(dom, K) for key, dom in doms.items()}
     cond_agent = [None] + [k if j < k else j for j in range(1, K + 1)]
     tuple_agents = [None] + [[i for i in watchers if i >= cond_agent[j]]
                              for j in range(1, K + 1)]
 
     def belief_cells(t: int, parts):
         # accessible keys and information states per watcher agent
-        akeys = {i: [tuple(_value_of(pt[2], pt[3], lbl) for lbl in acc_raw[i][t])
-                     for pt in parts] for i in watchers}
+        akeys = {i: [tuple([h[n] for n in acc_slots[i][t]])
+                     for _p, _x, h, _c in parts] for i in watchers}
         belief_id: dict[int, dict[tuple, int]] = {}
         for i in watchers:
             groups: dict[tuple, dict[tuple, float]] = {}
-            for pt, ak in zip(parts, akeys[i]):
-                skey = (pt[1], tuple(_value_of(pt[2], pt[3], lbl)
-                                     for lbl in suff_raw[i][t]))
+            slots = suff_slots[i][t]
+            for (p, x, h, _c), ak in zip(parts, akeys[i]):
+                skey = (x, tuple([h[n] for n in slots]))
                 bucket = groups.setdefault(ak, {})
-                bucket[skey] = bucket.get(skey, 0.0) + pt[0]
+                bucket[skey] = bucket.get(skey, 0.0) + p
             reps: list[BeliefState] = []
             ids: dict[tuple, int] = {}
             for ak in sorted(groups):
@@ -498,9 +476,9 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                 if ak not in gid_of_ak:
                     gid_of_ak[ak] = tuple(belief_id[i][akeys[i][idx]]
                                           for i in tuple_agents[j])
-            keys = [(gid_of_ak[akeys[c][idx]],
-                     tuple(_value_of(pt[2], pt[3], lbl) for lbl in dom_raw[(j, t)]))
-                    for idx, pt in enumerate(parts)]
+            slots = dom_slots[(j, t)]
+            keys = [(gid_of_ak[ak], tuple([h[n] for n in slots]))
+                    for ak, (_p, _x, h, _c) in zip(akeys[c], parts)]
             cells.append(sorted(set(keys)))
             index = {cell: n for n, cell in enumerate(cells[-1])}
             for idx, key in enumerate(keys):
@@ -515,10 +493,10 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
     for t, cells_t, cond_pairs_t, branch in snapshot:
         for j in range(1, K + 1):
             for ak, gid in cond_pairs_t[j - 1]:
-                table = {_realize(dom_raw[(j, t)], domkey): u
+                table = {Realization(tuple(zip(doms[(j, t)], domkey))): u
                          for (g, domkey), u in zip(cells_t[j - 1], branch[j - 1])
                          if g == gid}
-                cond = _realize(acc_raw[cond_agent[j]][t], ak)
+                cond = Realization(tuple(zip(acc[cond_agent[j]][t], ak)))
                 parts_out.setdefault((j, t), {})[cond] = PrescriptionFunction(
                     owner=k, target=j, time=t, domain=doms[(j, t)], table=table,
                     default=s.action_space(j, t).values[0])

@@ -280,16 +280,21 @@ class Case:
     pairs: bool = False
 
 
-def _case_keys(scenario_path: str | None, random_n: int
-               ) -> list[tuple[str, int]]:
-    """The cases of a run in order, as (source, index) pairs."""
-    keys = [("pairs", 0)]
-    if scenario_path is not None:
-        keys.append(("file", 0))
-    keys += [("random", i) for i in range(random_n)]
-    if random_n > 0:
-        keys += [("scn", i) for i in range(3)]
-    return keys
+def _case_count(scenario_path: str | None, random_n: int) -> int:
+    """The number of cases of a run (see ``_case_key``)."""
+    return 1 + (scenario_path is not None) + random_n + 3 * (random_n > 0)
+
+
+def _case_key(scenario_path: str | None, random_n: int, n: int
+              ) -> tuple[str, int]:
+    """Case ``n`` of a run as a (source, index) pair: the delay-reduction
+    pairs, the scenario file if any, the random indices, then three scenario
+    cases when there are random ones."""
+    heads = [("pairs", 0)] + [("file", 0)] * (scenario_path is not None)
+    if n < len(heads):
+        return heads[n]
+    n -= len(heads)
+    return ("random", n) if n < random_n else ("scn", n - random_n)
 
 
 def build_inputs(scenario_path: str | None, random_n: int, seed: int,
@@ -301,7 +306,9 @@ def build_inputs(scenario_path: str | None, random_n: int, seed: int,
     every random index i from their own streams, then the random scenario
     cases."""
     first_scn = 0 if scenario_path is None else 1
-    for source, i in _case_keys(scenario_path, random_n)[lo:hi]:
+    count = _case_count(scenario_path, random_n)
+    for n in range(*slice(lo, hi).indices(count)):
+        source, i = _case_key(scenario_path, random_n, n)
         parts: dict = {}
         if source == "pairs":
             parts["pairs"] = True
@@ -917,7 +924,7 @@ def run_verify(scenario_path: str | None, random_n: int, seed: int,
     than the machine has CPUs."""
     run = functools.partial(run_cases, scenario_path, random_n, seed,
                             (policy_cap, assign_cap))
-    ranges = case_ranges(len(_case_keys(scenario_path, random_n)), jobs)
+    ranges = case_ranges(_case_count(scenario_path, random_n), jobs)
     if len(ranges) == 1:
         tallies = [run()]
     else:

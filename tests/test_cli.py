@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from womctl.prescription import prescription_domain
 from womctl.topology import min_delay_matrix
 
 INSTANCE_A = fixture_path("instance_a.wom")
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TINY = """
 [agents]
@@ -544,3 +547,81 @@ def test_export_strategy_rejects_the_brute_method():
     r = womctl("export-strategy", "--scenario", INSTANCE_A, "--method", "brute")
     assert (r.returncode, r.stdout) == (2, "")
     assert "invalid choice: 'brute'" in r.stderr
+
+
+# sha256 of the stdout of commands whose bytes a change to the solvers, the
+# filters or the checks must keep. They run from the repository root, so the
+# verify report names the scenario by the relative path given here.
+PINNED_STDOUT = {
+    ("compare", "--scenario", "src/womctl/data/instance_a.wom"):
+        "26b0a42436c25ea8120eb845eb1755e48291ef26a74a3e16c545e57d2f760d73",
+    ("verify", "--scenario", "src/womctl/data/instance_a.wom"):
+        "91f0f73bd95b5321340149b62d8d2929e47c574fff697bd19b80c03aea8ffe90",
+    ("verify", "--random", "300", "--seed", "0"):
+        "42fa1e09fb928dbd32e14248f7d76e639f9860eb52dcd6ccad71c6a3a5012ada",
+    ("verify", "--random", "300", "--seed", "1"):
+        "5bed8c6101c48306ed69b33de2e4215cd1a63e9c301bb3eac1f6bac05609e57a",
+    ("verify", "--random", "300", "--seed", "2"):
+        "388a822f00ee805deb3eca04f5b0784a966913b7fc94e7558762b98e667deb3b",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=" ".join)
+def test_pinned_commands_print_the_recorded_bytes(argv, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == \
+        PINNED_STDOUT[argv]
+
+
+def _two_stages_costing(cost: str, init: str = "0.3") -> str:
+    """TINY over two stages with every cost row at ``cost``, and ``init`` the
+    probability of state a (b keeps 0.7)."""
+    head = TINY[:TINY.index("[cost]")].replace("T 0", "T 1")
+    head = head.replace("init a 0.3", f"init a {init}")
+    return head + "[cost]\n" + "".join(
+        f"c t=* {x} {u} {cost}\n" for x in "ab" for u in ("u0", "u1"))
+
+
+# every row finite, but: two stages of 1e308 overflow a float; two of half
+# the float range sum to the largest float, and with the initial
+# distribution 5e-13 above 1 (within the loader's tolerance) the expected
+# cost overflows
+COSTLY = {"1e308": ("1e308", "0.3"),
+          "half-range": (repr(sys.float_info.max / 2), "0.3000000000005")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["solve", "--method", "brute"],
+    ["solve", "--method", "structural", "--agent", "1"],
+    ["solve", "--method", "common-info"],
+    ["compare"],
+    ["verify"],
+    ["export-strategy", "--method", "common-info"],
+    ["export-strategy", "--method", "structural", "--agent", "1"],
+], ids=" ".join)
+@pytest.mark.parametrize("costly", COSTLY)
+def test_a_cost_table_whose_total_can_overflow_is_an_input_error(argv, costly,
+                                                                 tmp_path):
+    path = tmp_path / "costly.wom"
+    path.write_text(_two_stages_costing(*COSTLY[costly]), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--scenario", str(path)])
+    assert code == 2 and out.getvalue() == ""
+    first, *rest = err.getvalue().split("\n")
+    assert first.startswith("error: table 'cost'") and rest == [""]
+
+
+def test_a_cost_table_whose_total_fits_still_solves(tmp_path):
+    path = tmp_path / "costly.wom"
+    path.write_text(_two_stages_costing("1e307"), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["solve", "--method", "brute", "--scenario", str(path)])
+    assert code == 0
+    assert json.loads(out.getvalue())["value"] == pytest.approx(2e307)

@@ -11,7 +11,12 @@ import pytest
 from womctl import solver
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a, instance_b
-from womctl.infostruct import enumerate_realizations, memory_labels
+from womctl.infostruct import (
+    Realization,
+    enumerate_realizations,
+    history_slots,
+    memory_labels,
+)
 from womctl.prescription import policy_to_strategy
 from womctl.randgen import (
     random_scenario,
@@ -484,13 +489,17 @@ HORIZON_2 = {
 }
 
 
-@pytest.mark.parametrize("key, max_delay, noisy", HORIZON_2,
-                         ids=lambda v: str(v).replace(" ", ""))
-def test_common_info_dp_at_horizon_two_on_seeded_cases(key, max_delay, noisy):
+def _horizon_2(key, max_delay, noisy):
     rng = sub_rng(*key)
     topo = random_topology(rng, max_agents=2, min_agents=2, max_delay=max_delay)
     s = random_scenario(rng, topo, horizon=2, noisy_obs=noisy)
-    d = min_delay_matrix(topo)
+    return s, min_delay_matrix(topo)
+
+
+@pytest.mark.parametrize("key, max_delay, noisy", HORIZON_2,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_common_info_dp_at_horizon_two_on_seeded_cases(key, max_delay, noisy):
+    s, d = _horizon_2(key, max_delay, noisy)
     dp = common_info_dp(s, d)
     digest = hashlib.sha256(
         dump_json(strategy_json(s, dp.argmin)).encode("utf-8")).hexdigest()
@@ -512,6 +521,40 @@ def _dp_cases():
             if case.scenario:
                 _idx, name, _topo, d, s = case.scenario
                 yield pytest.param(s, d, None, id=f"seed{seed}-{name}")
+
+
+# the DP's cases and the horizon-2 ones: only the noisy sensors of the
+# latter let two agents observe different values
+RECORD_CASES = [(p.id, *p.values[:2]) for p in _dp_cases()] + [
+    ("horizon2-" + str(case).replace(" ", ""), *_horizon_2(*case))
+    for case in HORIZON_2]
+
+
+@pytest.mark.parametrize("n, s, d", [
+    pytest.param(n, s, d, id=name)
+    for n, (name, s, d) in enumerate(RECORD_CASES)])
+def test_particles_run_a_policy_to_its_exact_cost(n, s, d):
+    # drive the DFS engine by hand: each agent's memory realization is read
+    # off a particle's flat history at the slots of its memory labels
+    g = random_total_policy(sub_rng(902, n), s, d)
+    eng = solver._Engine(s, d)
+    K = s.agent_count
+    parts = eng.initial_particles()
+    for t in s.times():
+        parts = eng.observe(t, parts)
+        assert {len(h) for _p, _x, h, _c in parts} == {2 * K * t + K}
+        reads = [(k, memory_labels(d, k, t),
+                  history_slots(memory_labels(d, k, t), K))
+                 for k in s.agents()]
+        u_list = [tuple(g.action(k, t, Realization(tuple(
+                      zip(labels, [h[i] for i in slots]))))
+                        for k, labels, slots in reads)
+                  for _p, _x, h, _c in parts]
+        if t < s.horizon:
+            parts = eng.advance(t, parts, u_list)
+    value = sum(p * (c + s.c(s.horizon, x, u))
+                for (p, x, _h, c), u in zip(parts, u_list))
+    assert abs(value - evaluate_policy(s, d, g)) <= 1e-12
 
 
 @pytest.mark.parametrize("s, d, counts", _dp_cases())

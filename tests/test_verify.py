@@ -11,7 +11,10 @@ import dataclasses
 import gc
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -196,8 +199,41 @@ def test_case_ranges_are_contiguous_and_never_empty():
             assert ranges[-1][1] == cases
             assert all(lo < hi for lo, hi in ranges)
     # a scenario-only run has two cases: the delay-reduction pairs and the file
-    assert len(verify._case_keys("x.wom", 0)) == 2
-    assert len(verify._case_keys(None, 6)) == 1 + 6 + 3
+    assert verify._case_count("x.wom", 0) == 2
+    assert verify._case_count(None, 6) == 1 + 6 + 3
+
+
+def test_case_keys_come_in_run_order():
+    for path in (None, "x.wom"):
+        keys = [verify._case_key(path, 2, n)
+                for n in range(verify._case_count(path, 2))]
+        assert keys == [("pairs", 0)] + [("file", 0)] * (path is not None) + [
+            ("random", 0), ("random", 1), ("scn", 0), ("scn", 1), ("scn", 2)]
+
+
+LATE_CASES = """
+import json, resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from womctl.verify import build_inputs
+n = 10**9
+tracemalloc.start()
+cases = list(build_inputs(None, n, 0, lo=n, hi=n + 2))
+print(json.dumps([c.graph[0] if c.graph else c.scenario[1] for c in cases]))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_a_late_case_is_drawn_without_listing_the_ones_before_it():
+    # the last random case of a 10**9-case run and the scenario case after
+    # it; listing the run's case keys ran out of a 1 GiB address space
+    src = Path(__file__).resolve().parent.parent / "src"
+    r = subprocess.run([sys.executable, "-c", LATE_CASES], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    names, peak = r.stdout.splitlines()
+    assert json.loads(names) == [f"graph-{10**9 - 1}", "scn-0"]
+    assert int(peak) < 1_000_000
 
 
 def test_verify_starts_no_more_workers_than_cpus(monkeypatch):
