@@ -11,6 +11,7 @@ enumerate noise branches.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -255,15 +256,71 @@ def belief_update(s: Scenario, d: DelayMatrix, pi: BeliefState,
         f"prescription at t={pi.time}")
 
 
-# -- conditioning classes, pushed one step at a time ---------------------------
-#
-# A class is ``(prob, x, history)``: the primitive assignments of one
-# conditioning class that agree on the plant state and on every observation
-# and action so far, merged. ``history`` holds those values by slot (see
-# ``infostruct.history_slots``), so it grows by 2K values per step: the same
-# record as a solver particle, less the cost. ``table`` interns the
-# Realizations and SufficientStates built from classes: keys are plain tuples,
-# and equal ones map to one shared object.
+# -- trajectory-prefix records, pushed one step at a time -----------------------
+
+class _Engine:
+    """The one step routine for trajectory-prefix records.
+
+    A record is ``(prob, x, history, cost)``: the primitive assignments that
+    agree on the plant state and on every observation and action so far,
+    merged. ``history`` holds those values by slot (see
+    ``infostruct.history_slots``): at each time the K observations, then the
+    K actions. The DFS particles of ``solver`` carry the stage costs charged
+    so far, which their search adds before each ``advance``; the conditioning
+    classes below carry 0.0. Both steps merge records with equal (x, history,
+    cost), which keeps their number at the count of distinguishable prefixes,
+    and return them in that key order.
+    """
+
+    def __init__(self, s: Scenario):
+        self.s = s
+        T = s.horizon
+        self.trans = [{(x, u, w): x2 for (t2, x, u, w), x2 in s.transition.items()
+                       if t2 == t} for t in range(T + 1)]
+        self.wsup = [s.w_dists[t].support() for t in range(T + 1)]
+        # per t and plant state, one (K observations, probability) pair per
+        # sensor-noise profile
+        self.obs_branches = []
+        for t in range(T + 1):
+            axes = [s.v_dists[(k, t)].support() for k in s.agents()]
+            profiles = [(vs, math.prod(pv for _, pv in vs))
+                        for vs in itertools.product(*axes)]
+            self.obs_branches.append({x: [
+                (tuple(s.h(k, t, x, v) for k, (v, _) in enumerate(vs, 1)), p)
+                for vs, p in profiles] for x in s.state_space.values})
+
+    def initial_particles(self):
+        return [(p, x0, (), 0.0) for x0, p in self.s.init_dist.support()]
+
+    def observe(self, t: int, records):
+        """Branch over sensor noises and append the K observations."""
+        branches = self.obs_branches[t]
+        return _merged((p * pv, (x, h + ys, c)) for p, x, h, c in records
+                       for ys, pv in branches[x])
+
+    def advance(self, t: int, records, u_list):
+        """Append each record's action profile and branch over the plant
+        noise at t. The cost is carried as it is: only stages before the
+        horizon advance, and the DFS adds every stage cost itself."""
+        trans, wsup = self.trans[t], self.wsup[t]
+        return _merged((p * pw, (trans[(x, u, w)], h + u, c))
+                       for (p, x, h, c), u in zip(records, u_list)
+                       for w, pw in wsup)
+
+
+def _merged(branches) -> list:
+    """Records from (prob, (x, history, cost)) branches: equal keys summed,
+    in key order."""
+    merged: dict = {}
+    for q, key in branches:
+        merged[key] = merged.get(key, 0.0) + q
+    return [(q, *key) for key, q in sorted(merged.items())]
+
+
+# A conditioning class is a record of cost 0.0: it tracks only the
+# probability of its primitive assignments, and no engine step charges cost.
+# ``table`` interns the Realizations and SufficientStates built from classes:
+# keys are plain tuples, and equal ones map to one shared object.
 
 def _shared(table: dict, labels: InfoSet, slots: tuple[int, ...],
             history: tuple[str, ...]) -> Realization:
@@ -274,26 +331,25 @@ def _shared(table: dict, labels: InfoSet, slots: tuple[int, ...],
     return r
 
 
-def _conditionals(d: DelayMatrix, k: int, t: int, merged: dict[tuple, float],
-                  table: dict
+def _conditionals(d: DelayMatrix, k: int, t: int, records: list, table: dict
                   ) -> list[tuple[Realization, float, BeliefState, list]]:
-    """Merged classes grouped by agent k's accessible realization ``a`` at t:
-    (a, prob of a, sufficient-state conditional, classes of a) with positive
-    probability, in canonical ``a`` order. Every key shares the labels, so
-    value order is ``Realization.items`` order."""
+    """Class records grouped by agent k's accessible realization ``a`` at t:
+    (a, prob of a, sufficient-state conditional, records of a) with positive
+    probability, in canonical ``a`` order; each group keeps the order of
+    ``records``. Every key shares the labels, so value order is
+    ``Realization.items`` order."""
     want = accessible_labels(d, k, t)
     slots = history_slots(want, d.agent_count)
     info = sufficient_info_labels(d, k, t)
     info_slots = history_slots(info, d.agent_count)
     groups: dict[tuple, list] = {}
-    for (x, history), p in merged.items():
-        groups.setdefault(tuple(history[i] for i in slots), []).append(
-            (p, x, history))
+    for rec in records:
+        groups.setdefault(tuple(rec[2][i] for i in slots), []).append(rec)
     out = []
     for values in sorted(groups):
         group = groups[values]
         probs: dict[SufficientState, float] = {}
-        for p, x, history in group:
+        for p, x, history, _c in group:
             key = (t, x, info_slots, tuple(history[i] for i in info_slots))
             st = table.get(key)
             if st is None:
@@ -319,38 +375,39 @@ def root_classes(s: Scenario, d: DelayMatrix, k: int, table: dict,
     in canonical ``a`` order.
 
     The sum runs over whole assignments, not over the initial state and the
-    sensor noises at 0 alone: the two round differently in the last bits,
-    and the common-info DP's pinned values follow this rounding.
+    sensor noises at 0 alone, so this pass does not go through
+    ``_Engine.observe``: the two round differently in the last bits, and the
+    common-info DP's pinned values follow this rounding.
     """
     merged: dict[tuple, float] = {}
     for prim in enumerate_primitives(s, cap):
         x = prim.x0
         key = (x, tuple(s.h(j, 0, x, prim.v[j - 1][0]) for j in s.agents()))
         merged[key] = merged.get(key, 0.0) + prim.prob
-    return _conditionals(d, k, 0, merged, table)
+    return _conditionals(d, k, 0, [(p, x, history, 0.0) for (x, history), p
+                                   in merged.items()], table)
 
 
-def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
+def class_successors(eng: _Engine, d: DelayMatrix, k: int, t: int,
                      classes: list, theta: CompletePrescription, table: dict
                      ) -> list[tuple[Realization, Realization, float,
                                      BeliefState, list]]:
     """Push agent k's classes at t one step under ``theta``.
 
-    The actions come from ``theta``; each class then branches on the plant
-    noise at t and on every sensor noise at t + 1, and the results are merged
-    and grouped by the accessible realization ``a`` at t + 1. Returns (a, new
-    information z, prob of a, belief, classes of a) with positive
-    probability, in canonical ``a`` order. This is direct conditioning, one
-    step at a time: it reads no belief.
+    Each class's actions are read off ``theta`` at the slots of each part's
+    domain; ``eng`` then advances the classes over the plant noise at t and
+    observes them at t + 1, and the results are grouped by the accessible
+    realization ``a`` at t + 1. Returns (a, new information z, prob of a,
+    belief, classes of a) with positive probability, in canonical ``a``
+    order. This is direct conditioning, one step at a time: it reads no
+    belief.
     """
-    agents = s.agent_count
+    agents = d.agent_count
     # per target: the part, its slots, and the actions found so far by value
     parts = [(gamma, history_slots(gamma.domain, agents), {})
              for gamma in theta.parts]
-    w_sup = s.w_dists[t].support()
-    v_axes = [s.v_dists[(j, t + 1)].support() for j in s.agents()]
-    merged: dict[tuple, float] = {}
-    for p, x, history in classes:
+    u_list = []
+    for _p, _x, history, _c in classes:
         u = []
         for gamma, slots, seen in parts:
             values = tuple(history[i] for i in slots)
@@ -359,22 +416,12 @@ def class_successors(s: Scenario, d: DelayMatrix, k: int, t: int,
                 uj = seen[values] = act(
                     gamma, Realization(tuple(zip(gamma.domain, values))))
             u.append(uj)
-        u = tuple(u)
-        history = history + u
-        for w, pw in w_sup:
-            x2 = s.f(t, x, u, w)
-            y_axes = [[(s.h(j, t + 1, x2, v), pv) for v, pv in v_axes[j - 1]]
-                      for j in s.agents()]
-            for ys in itertools.product(*y_axes):
-                q = p * pw
-                for _y, py in ys:
-                    q *= py
-                key = (x2, history + tuple(y for y, _py in ys))
-                merged[key] = merged.get(key, 0.0) + q
+        u_list.append(tuple(u))
+    records = eng.observe(t + 1, eng.advance(t, classes, u_list))
     z_labels = new_info_labels(d, k, t + 1)
     z_slots = history_slots(z_labels, agents)
     return [(a, _shared(table, z_labels, z_slots, group[0][2]), pa, pi, group)
-            for a, pa, pi, group in _conditionals(d, k, t + 1, merged, table)]
+            for a, pa, pi, group in _conditionals(d, k, t + 1, records, table)]
 
 
 def conditional_beliefs(s: Scenario, d: DelayMatrix, k: int,
@@ -383,16 +430,17 @@ def conditional_beliefs(s: Scenario, d: DelayMatrix, k: int,
                         ) -> list[tuple[Realization, float, BeliefState]]:
     """Exact conditionals of the sufficient state at t = len(thetas), one per
     realization of agent k's shared information: the root classes pushed
-    through ``thetas`` with ``class_successors``. Classes of different
-    realizations never merge, so they are pushed together. Returns (a, prob
-    of a, belief) triples with positive probability, in canonical ``a``
-    order.
+    through ``thetas`` with ``class_successors``, by one engine built only
+    when there is a step to take. Classes of different realizations never
+    merge, so they are pushed together. Returns (a, prob of a, belief)
+    triples with positive probability, in canonical ``a`` order.
     """
     table: dict = {}
     level = root_classes(s, d, k, table, cap)
+    eng = _Engine(s) if thetas else None
     for t, theta in enumerate(thetas):
         level = [(a, pa, pi, group) for a, _z, pa, pi, group in class_successors(
-            s, d, k, t, [c for *_a, group in level for c in group], theta,
+            eng, d, k, t, [c for *_a, group in level for c in group], theta,
             table)]
     return [(a, pa, pi) for a, pa, pi, _group in level]
 

@@ -244,13 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("verify", help="run the invariant suites")
-    sp.add_argument("--scenario", default=None)
+    sp.add_argument("--scenario", default=None,
+                    help="path to a scenario file to check; with neither "
+                         "it nor --random, 20 random instances run")
+    common(sp, scenario=False)
     sp.add_argument("--random", type=int, default=0,
                     help="number of seeded random instances")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("infostruct", help="print the information sets at t")

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .belief import (
     BELIEF_TOL,
     BeliefState,
+    _Engine,
     belief_linf,
     belief_prescriptions,
     belief_successors,
@@ -101,106 +102,36 @@ def evaluate_strategy(s: Scenario, d: DelayMatrix, psi: FullStrategy,
 
 # -- shared stage-by-stage enumeration machinery -------------------------------
 
-class _Engine:
-    """Precomputed tables and particle propagation for the DFS solvers.
-
-    A particle is (prob, x, history, cost): one class of primitive
-    assignments that agree on everything decision-relevant so far.
-    ``history`` is the flat record of the conditioning classes in ``belief``:
-    every observation and action so far, read by ``history_slots``. Particles
-    with equal (x, history, cost) are merged, which keeps their number at the
-    count of distinguishable trajectory prefixes.
-    """
-
-    def __init__(self, s: Scenario, d: DelayMatrix):
-        self.s, self.d = s, d
-        K, T = s.agent_count, s.horizon
-        self.K, self.T = K, T
-        self.actions = [[s.action_space(k, t).values for k in s.agents()]
-                        for t in range(T + 1)]
-        self.trans = [{(x, u, w): x2 for (t2, x, u, w), x2 in s.transition.items()
-                       if t2 == t} for t in range(T + 1)]
-        self.cost = [{(x, u): c for (t2, x, u), c in s.cost.items() if t2 == t}
-                     for t in range(T + 1)]
-        self.wsup = [s.w_dists[t].support() for t in range(T + 1)]
-        # per t and plant state, one (K observations, probability) pair per
-        # sensor-noise profile
-        self.obs_branches = []
-        for t in range(T + 1):
-            axes = [s.v_dists[(k, t)].support() for k in s.agents()]
-            profiles = [(vs, math.prod(pv for _, pv in vs))
-                        for vs in itertools.product(*axes)]
-            self.obs_branches.append({x: [
-                (tuple(s.h(k, t, x, v) for k, (v, _) in enumerate(vs, 1)), p)
-                for vs, p in profiles] for x in s.state_space.values})
-        # per agent and t: the memory labels in the order they arrive, and
-        # their slots
-        self.memlab: dict[int, list[tuple[tuple, tuple]]] = {}
-        for k in s.agents():
-            mems = [memory_labels(d, k, t) for t in range(T + 1)]
-            alls = [mems[0].labels]
-            for prev, cur in zip(mems, mems[1:]):
-                alls.append(alls[-1] + cur.difference(prev).labels)
-            self.memlab[k] = [(l, history_slots(l, K)) for l in alls]
-
-    def initial_particles(self):
-        return [(p, x0, (), 0.0) for x0, p in self.s.init_dist.support()]
-
-    def observe(self, t: int, particles):
-        """Branch over sensor noises and append the K observations."""
-        merged: dict = {}
-        branches = self.obs_branches[t]
-        for (p, x, h, c) in particles:
-            for ys, pv in branches[x]:
-                h2 = h + ys
-                key = (x, h2, c)
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [p * pv, x, h2, c]
-                else:
-                    entry[0] += p * pv
-        return [tuple(e) for _, e in sorted(merged.items())]
-
-    def advance(self, t: int, particles, u_list):
-        """Apply actions, add stage costs, branch over the system noise.
-        Only stages before the horizon advance: the last stage's cost is
-        added at the leaves of ``_Search.visit``."""
-        merged: dict = {}
-        for (p, x, h, c), u in zip(particles, u_list):
-            h2 = h + u
-            c2 = c + self.cost[t][(x, u)]
-            for w, pw in self.wsup[t]:
-                x2 = self.trans[t][(x, u, w)]
-                key = (x2, h2, c2)
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [p * pw, x2, h2, c2]
-                else:
-                    entry[0] += p * pw
-        return [tuple(e) for _, e in sorted(merged.items())]
-
-
 class _Search:
     """Exhaustive DFS over one action per (agent, cell) at every stage.
 
-    ``stage_cells(t, particles)`` returns, per agent, the sorted cells its
-    action may depend on at t, each particle's cell index per agent, and any
-    extra data the caller needs to read the chosen tables back. A stage's
-    branches are an ``ActionTables`` view, visited in canonical order (time,
-    agent, cell, action); ties keep the first candidate. Every branch reaches
-    a leaf, so ``count`` plus the branch count is checked against the cap
-    before any branch is built: it raises exactly when the full count would.
-    At the horizon every branch is a leaf whose value is ``sum(p * (c +
-    cost))`` over the particles, in particle order. After ``visit(0,
-    eng.initial_particles())``, ``best_value`` is the least expected cost,
-    ``best_snapshot`` the (t, cells, extra, per-agent tables) choices
-    attaining it per stage, and ``count`` the number of candidates. The
-    recursion goes through the instance, not a closure over itself, so the
-    search leaves no reference cycle behind.
+    The particles are ``belief._Engine`` records whose cost is the stage
+    costs charged so far: the search holds each stage's action spaces and
+    costs, and charges a particle's stage cost before the engine advances
+    it. ``stage_cells(t, particles)`` returns, per agent, the key of each
+    particle's cell (what its action may depend on at t), and any extra data
+    the caller needs to read the chosen tables back; a stage's cells are the
+    sorted distinct keys. Its branches are an ``ActionTables`` view, visited
+    in canonical order (time, agent, cell, action); ties keep the first
+    candidate. Every branch reaches a leaf, so ``count`` plus the branch
+    count is checked against the cap before any branch is built: it raises
+    exactly when the full count would. At the horizon every branch is a leaf
+    whose value is ``sum(p * (c + cost))`` over the particles, in particle
+    order. After ``visit(0, eng.initial_particles())``, ``best_value`` is
+    the least expected cost, ``best_snapshot`` the (t, cells, extra,
+    per-agent tables) choices attaining it per stage, and ``count`` the
+    number of candidates. The recursion goes through the instance, not a
+    closure over itself, so the search leaves no reference cycle behind.
     """
 
-    def __init__(self, eng: _Engine, stage_cells, what: str, policy_cap: int):
-        self.eng, self.stage_cells = eng, stage_cells
+    def __init__(self, s: Scenario, stage_cells, what: str, policy_cap: int):
+        self.eng = _Engine(s)
+        self.K, self.T = s.agent_count, s.horizon
+        self.actions = [[s.action_space(k, t).values for k in s.agents()]
+                        for t in s.times()]
+        self.cost = [{(x, u): c for (t2, x, u), c in s.cost.items() if t2 == t}
+                     for t in s.times()]
+        self.stage_cells = stage_cells
         self.what, self.policy_cap = what, policy_cap
         self.best_value = math.inf
         self.best_snapshot: list | None = None
@@ -210,22 +141,29 @@ class _Search:
     def visit(self, t: int, particles) -> None:
         eng = self.eng
         parts = eng.observe(t, particles)
-        cells, pcell, extra = self.stage_cells(t, parts)
-        branches = ActionTables(eng.actions[t], [len(c) for c in cells])
+        keys, extra = self.stage_cells(t, parts)
+        cells = [sorted(set(ks)) for ks in keys]
+        branches = ActionTables(self.actions[t], [len(c) for c in cells])
         least = self.count + branches.size
         check_cap(self.what, least, self.policy_cap, exact=False)
-        if t == eng.T:
+        if t == self.T:
             self.count = least  # the leaves of this stage
-        # a particle's action of agent j sits at j's first cell plus its
-        # index; one agent's getter takes a slice, so it too gives a tuple
-        take = [itemgetter(*map(add, branches.cuts, ix)) for ix in pcell] \
-            if eng.K > 1 else [itemgetter(slice(i, i + 1)) for (i,) in pcell]
-        cost = eng.cost[t]
+        # a particle's action of agent j sits at j's first cell plus the
+        # index of its key; one agent's getter takes a slice, so it too
+        # gives a tuple
+        index = [{key: n for n, key in enumerate(c)} for c in cells]
+        at = [[cut + ix[key] for cut, ix, key in zip(branches.cuts, index, pk)]
+              for pk in zip(*keys)]
+        take = [itemgetter(*ns) for ns in at] if self.K > 1 else [
+            itemgetter(slice(n, n + 1)) for (n,) in at]
+        cost = self.cost[t]
         for branch in branches:
             u_list = [get(branch) for get in take]
-            if t < eng.T:
+            if t < self.T:
                 self.stack.append((t, cells, extra, branches.split(branch)))
-                self.visit(t + 1, eng.advance(t, parts, u_list))
+                self.visit(t + 1, eng.advance(t, [
+                    (p, x, h, c + cost[(x, u)])
+                    for (p, x, h, c), u in zip(parts, u_list)], u_list))
                 self.stack.pop()
                 continue
             value = sum([p * (c + cost[(x, u)])
@@ -236,10 +174,10 @@ class _Search:
                     (t, cells, extra, branches.split(branch))]
 
 
-def _search(eng: _Engine, stage_cells, what: str, policy_cap: int):
+def _search(s: Scenario, stage_cells, what: str, policy_cap: int):
     """Run a ``_Search``; returns (best value, best snapshot, candidates)."""
-    dfs = _Search(eng, stage_cells, what, policy_cap)
-    dfs.visit(0, eng.initial_particles())
+    dfs = _Search(s, stage_cells, what, policy_cap)
+    dfs.visit(0, dfs.eng.initial_particles())
     assert dfs.best_snapshot is not None
     return dfs.best_value, dfs.best_snapshot, dfs.count
 
@@ -271,25 +209,29 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
     earlier stages. Ties keep the first candidate in canonical order (time,
     then agent, then realization, then action).
     """
-    eng = _Engine(s, d)
-    K = eng.K
+    K, T = s.agent_count, s.horizon
+    # per agent and t: the memory labels in the order they arrive, and
+    # their slots
+    memlab: dict[int, list[tuple[tuple, tuple]]] = {}
+    for k in s.agents():
+        mems = [memory_labels(d, k, t) for t in range(T + 1)]
+        alls = [mems[0].labels]
+        for prev, cur in zip(mems, mems[1:]):
+            alls.append(alls[-1] + cur.difference(prev).labels)
+        memlab[k] = [(l, history_slots(l, K)) for l in alls]
 
     def memkeys(t: int, parts):
-        keys = [[tuple([h[i] for i in eng.memlab[j][t][1]])
-                 for _p, _x, h, _c in parts] for j in range(1, K + 1)]
-        reach = [sorted(set(ks)) for ks in keys]
-        pidx = [tuple(r.index(key) for r, key in zip(reach, pkeys))
-                for pkeys in zip(*keys)]
-        return reach, pidx, None
+        return [[tuple([h[i] for i in memlab[j][t][1]])
+                 for _p, _x, h, _c in parts] for j in s.agents()], None
 
-    value, snapshot, count = _search(eng, memkeys, "policy candidates",
+    value, snapshot, count = _search(s, memkeys, "policy candidates",
                                      policy_cap)
-    policy = Policy(agent_count=K, horizon=eng.T)
+    policy = Policy(agent_count=K, horizon=T)
     for t, reach, _extra, branch in snapshot:
         for j in range(K):
             for memkey, u in zip(reach[j], branch[j]):
                 policy.set_action(j + 1, t, Realization.of(
-                    zip(eng.memlab[j + 1][t][0], memkey)), u)
+                    zip(memlab[j + 1][t][0], memkey)), u)
     return SolveResult(method="brute", agent=None, value=value,
                        argmin=policy, candidates=count)
 
@@ -427,8 +369,7 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
     meant to be compared against the exhaustive policy optimum by the caller;
     a gap is reported, never asserted away.
     """
-    eng = _Engine(s, d)
-    K, T = eng.K, eng.T
+    K, T = s.agent_count, s.horizon
     watchers = list(range(k, K + 1))  # agents whose beliefs can be conditioned on
     acc = {i: [accessible_labels(d, i, t) for t in range(T + 1)]
            for i in range(1, K + 1)}
@@ -465,8 +406,7 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                     probs={key: q / mass for key, q in dist.items()}))
             belief_id[i] = ids
         # measurability cells per target: (belief-tuple id, domain realization)
-        cells: list[list[tuple]] = []
-        pcell: list[list[int]] = [[] for _ in parts]
+        keys: list[list[tuple]] = []
         cond_pairs: list[tuple] = []
         for j in range(1, K + 1):
             c = cond_agent[j]
@@ -477,16 +417,12 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                     gid_of_ak[ak] = tuple(belief_id[i][akeys[i][idx]]
                                           for i in tuple_agents[j])
             slots = dom_slots[(j, t)]
-            keys = [(gid_of_ak[ak], tuple([h[n] for n in slots]))
-                    for ak, (_p, _x, h, _c) in zip(akeys[c], parts)]
-            cells.append(sorted(set(keys)))
-            index = {cell: n for n, cell in enumerate(cells[-1])}
-            for idx, key in enumerate(keys):
-                pcell[idx].append(index[key])
+            keys.append([(gid_of_ak[ak], tuple([h[n] for n in slots]))
+                         for ak, (_p, _x, h, _c) in zip(akeys[c], parts)])
             cond_pairs.append(tuple(sorted(gid_of_ak.items())))
-        return cells, pcell, cond_pairs
+        return keys, cond_pairs
 
-    value, snapshot, count = _search(eng, belief_cells,
+    value, snapshot, count = _search(s, belief_cells,
                                      "structural strategy candidates",
                                      policy_cap)
     parts_out: dict[tuple[int, int], dict[Realization, PrescriptionFunction]] = {}

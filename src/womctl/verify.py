@@ -21,6 +21,7 @@ from .belief import (
     BELIEF_TOL,
     BeliefState,
     SufficientState,
+    _Engine,
     belief_linf,
     belief_prescriptions,
     belief_successors,
@@ -173,10 +174,11 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     Nodes at time t are the conditioning classes for their prescription
     history. The roots are ``root_classes``, the one pass over the primitive
     assignments; below them, a node's children under a prescription option
-    are its own member classes pushed one step (``class_successors``). Edges
-    branch over the prescriptions that differ on the node's support and then
-    over the classes that extend the node's shared realization, labelled by
-    the new-information outcome. The node list is in pre-order: each node
+    are its own member classes pushed one step (``class_successors``, by one
+    ``_Engine`` per tree). Edges branch over the prescriptions that differ
+    on the node's support and then over the classes that extend the node's
+    shared realization, labelled by the new-information outcome. The node
+    list is in pre-order: each node
     precedes its subtree, and subtrees follow in edge order. A node's member
     classes live only while it waits on the stack, and a leaf holds none; one
     table per call shares equal realizations and sufficient states among the
@@ -185,6 +187,7 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     tree's count after, so the cap raises exactly when the tree exceeds it.
     """
     table: dict = {}
+    eng = _Engine(s)
     stack = [(HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
                           weight=pa0, belief=pi0), classes)
              for a0, pa0, pi0, classes in reversed(
@@ -206,7 +209,7 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
             thetas2 = node.thetas + (theta,)
             edges = []
             for a2, z, pa2, pi2, classes2 in class_successors(
-                    s, d, k, t, classes, theta, table):
+                    eng, d, k, t, classes, theta, table):
                 child = HistoryNode(agent=k, time=t + 1, accessible=a2,
                                     thetas=thetas2, weight=pa2, belief=pi2)
                 edges.append((z, pa2, child))

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from womctl import solver
+from womctl import belief, solver
+from womctl.belief import conditional_beliefs
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import (
@@ -17,7 +18,12 @@ from womctl.infostruct import (
     history_slots,
     memory_labels,
 )
-from womctl.prescription import policy_to_strategy
+from womctl.prescription import (
+    CompletePrescription,
+    PrescriptionFunction,
+    policy_to_strategy,
+    prescription_domain,
+)
 from womctl.randgen import (
     random_scenario,
     random_topology,
@@ -535,9 +541,10 @@ RECORD_CASES = [(p.id, *p.values[:2]) for p in _dp_cases()] + [
     for n, (name, s, d) in enumerate(RECORD_CASES)])
 def test_particles_run_a_policy_to_its_exact_cost(n, s, d):
     # drive the DFS engine by hand: each agent's memory realization is read
-    # off a particle's flat history at the slots of its memory labels
+    # off a particle's flat history at the slots of its memory labels, and
+    # the stage cost is charged before each advance, as the search does
     g = random_total_policy(sub_rng(902, n), s, d)
-    eng = solver._Engine(s, d)
+    eng = solver._Engine(s)
     K = s.agent_count
     parts = eng.initial_particles()
     for t in s.times():
@@ -551,10 +558,56 @@ def test_particles_run_a_policy_to_its_exact_cost(n, s, d):
                         for k, labels, slots in reads)
                   for _p, _x, h, _c in parts]
         if t < s.horizon:
-            parts = eng.advance(t, parts, u_list)
+            parts = eng.advance(t, [(p, x, h, c + s.c(t, x, u)) for (
+                p, x, h, c), u in zip(parts, u_list)], u_list)
     value = sum(p * (c + s.c(s.horizon, x, u))
                 for (p, x, _h, c), u in zip(parts, u_list))
     assert abs(value - evaluate_policy(s, d, g)) <= 1e-12
+
+
+def _random_thetas(rng, s, d, k):
+    """Agent k's complete prescriptions, one per stage before the horizon,
+    with every table entry drawn at random."""
+    thetas = []
+    for t in range(s.horizon):
+        parts = []
+        for j in s.agents():
+            dom = prescription_domain(d, k, j, t)
+            values = s.action_space(j, t).values
+            parts.append(PrescriptionFunction(
+                owner=k, target=j, time=t, domain=dom,
+                table={l: values[rng.integers(0, len(values))]
+                       for l in enumerate_realizations(s, dom)}))
+        thetas.append(CompletePrescription(owner=k, time=t, parts=tuple(parts)))
+    return tuple(thetas)
+
+
+# the bundled instances and the noisy horizon-2 cases
+CLASS_CASES = [case for case in RECORD_CASES
+               if case[0].startswith("instance_") or case[0].endswith("True)")]
+
+
+@pytest.mark.parametrize("n, s, d", [
+    pytest.param(n, s, d, id=name)
+    for n, (name, s, d) in enumerate(CLASS_CASES)])
+def test_conditioning_classes_are_never_charged(n, s, d, monkeypatch):
+    # the engine's advance leaves a record's cost alone, so the classes that
+    # conditional_beliefs pushes through the engine keep cost 0.0, and each
+    # group's records carry its probability
+    real = belief._conditionals
+    seen = []
+
+    def grouped(d, k, t, records, table):
+        out = real(d, k, t, records, table)
+        seen.extend((t, pa, group) for _a, pa, _pi, group in out)
+        return out
+    monkeypatch.setattr(belief, "_conditionals", grouped)
+    for k in s.agents():
+        conditional_beliefs(s, d, k, _random_thetas(sub_rng(903, n, k), s, d, k))
+    assert {t for t, _pa, _group in seen} == set(s.times())
+    for _t, pa, group in seen:
+        assert all(c == 0.0 for _p, _x, _h, c in group)
+        assert abs(sum(p for p, _x, _h, _c in group) - pa) <= 1e-12
 
 
 @pytest.mark.parametrize("s, d, counts", _dp_cases())
