@@ -200,11 +200,12 @@ def cmd_compare(args) -> int:
         res = _solve_one(method, s, d, args.agent, policy_cap, assign_cap)
         results.append((res, time.perf_counter() - start))
     brute_value = results[0][0].value
+    tol = 1e-9 * max(1.0, s.cost_bound)
     lines = ["method,value,candidates,seconds,match_brute"]
     for res, elapsed in results:
         name = res.method if res.agent is None else f"{res.method}-k{res.agent}"
         seconds = f"{elapsed:.3f}" if args.timings else ""
-        match = "yes" if abs(res.value - brute_value) <= 1e-9 else "no"
+        match = "yes" if abs(res.value - brute_value) <= tol else "no"
         lines.append(f"{name},{res.value:.12g},{res.candidates},{seconds},{match}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -131,10 +131,17 @@ def history_slots(labels: Iterable[VarLabel], agents: int) -> tuple[int, ...]:
     """Positions of ``labels`` in a flat trajectory history of K = ``agents``
     agents: at each time t the K observations, then the K actions, so label
     (j, t, kind) sits at 2Kt + K*kind + j - 1, and a history through the
-    observations at t holds 2Kt + K values. The solvers' particles and the
-    conditioning classes both keep this layout."""
+    observations at t holds 2Kt + K values. The solvers' particles, the
+    conditioning classes and whole trajectories all keep this layout."""
     return tuple(2 * agents * l.time + agents * l.kind + l.agent - 1
                  for l in labels)
+
+
+def realization_at(labels: InfoSet, history, agents: int) -> Realization:
+    """The realization of ``labels`` read off a flat trajectory history
+    (see ``history_slots``)."""
+    return Realization(tuple(zip(
+        labels, [history[i] for i in history_slots(labels, agents)])))
 
 
 # One shared InfoSet per distinct label tuple that the two caches below return:

@@ -23,7 +23,8 @@ from .errors import (
     check_cap,
 )
 from .infostruct import (DEFAULT_ENUM_CAP, Realization, act,
-                         enumerate_realizations, memory_labels, obs)
+                         enumerate_realizations, history_slots, memory_labels,
+                         obs, realization_at)
 from .topology import DelayMatrix, Topology, min_delay_matrix
 
 if TYPE_CHECKING:
@@ -131,6 +132,15 @@ class Scenario:
         except KeyError:
             raise MissingTableEntry("cost", (t, x, u)) from None
 
+    @property
+    def cost_bound(self) -> float:
+        """B = the sum over t of max |c(t, x, u)|, which bounds every total
+        cost; the checks compare costs within tolerances relative to it."""
+        worst = [0.0] * (self.horizon + 1)
+        for key, c in self.cost.items():
+            worst[key[0]] = max(worst[key[0]], abs(c))
+        return sum(worst)
+
     def validate(self) -> None:
         """Check totality of every table and validity of every distribution."""
         if self.horizon < 0:
@@ -165,18 +175,15 @@ class Scenario:
                 raise WomctlError(f"transition{key} lies outside the declared domain")
             if x2 not in self.state_space.values:
                 raise WomctlError(f"transition{key} -> {x2!r} not a state")
-        worst = [0.0] * (self.horizon + 1)
-        for key, c in self.cost.items():
+        for key in self.cost:
             if key not in valid_keys:
                 raise WomctlError(f"cost{key} lies outside the declared domain")
-            worst[key[0]] = max(worst[key[0]], abs(c))
-        # this sum bounds every total cost; an expectation of one can exceed
-        # it a little, since distributions may sum to 1 + DIST_TOL, so the
-        # sum must stay below half the float range
-        if not math.isfinite(2 * sum(worst)):
+        # an expected total cost can exceed B a little, since distributions
+        # may sum to 1 + DIST_TOL, so B must stay below half the float range
+        if not math.isfinite(2 * self.cost_bound):
             raise WomctlError(
                 f"table 'cost': the largest |cost| summed over the stages is "
-                f"{sum(worst)!r}, so an expected total cost can overflow")
+                f"{self.cost_bound!r}, so an expected total cost can overflow")
         for key, y in self.observation.items():
             k, t, x, v = key
             if not (k in self.agents() and t in self.times()
@@ -209,15 +216,32 @@ class PrimitiveAssignment:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A complete system run, consistent with the per-step activity order."""
+    """A complete system run, consistent with the per-step activity order.
+
+    ``history`` holds every observation and action in the flat layout of
+    ``infostruct.history_slots``; ``observations`` and ``actions`` are
+    per-agent views of it."""
 
     states: tuple[str, ...]                          # x_0 .. x_{T+1}
     w: tuple[str, ...]                               # w_0 .. w_T
     v: tuple[tuple[str, ...], ...]                   # v[k-1][t]
-    observations: tuple[tuple[str, ...], ...]        # y[k-1][t]
-    actions: tuple[tuple[str, ...], ...]             # u[k-1][t]
-    broadcasts: tuple[tuple[tuple[str, str | None], ...], ...]  # (y_t, u_{t-1})[k-1][t]
+    history: tuple[str, ...]
     stage_costs: tuple[float, ...]
+
+    def _per_agent(self, label) -> tuple[tuple[str, ...], ...]:
+        K, times = len(self.v), range(len(self.w))
+        return tuple(
+            tuple(self.history[i]
+                  for i in history_slots([label(k, t) for t in times], K))
+            for k in range(1, K + 1))
+
+    @property
+    def observations(self) -> tuple[tuple[str, ...], ...]:   # y[k-1][t]
+        return self._per_agent(obs)
+
+    @property
+    def actions(self) -> tuple[tuple[str, ...], ...]:        # u[k-1][t]
+        return self._per_agent(act)
 
     @property
     def total_cost(self) -> float:
@@ -260,50 +284,28 @@ def total_policy(s: Scenario, d: DelayMatrix, actions,
 
 
 def propagate(s: Scenario, d: DelayMatrix, prim: PrimitiveAssignment,
-              action_fn) -> Trajectory:
-    """Run one system trajectory from a primitive assignment.
+              g: Policy) -> Trajectory:
+    """Run one system trajectory from a primitive assignment under policy g.
 
-    ``action_fn(k, t, memory_realization) -> action`` supplies decisions; the
-    cycle at each t is: observe, extend memories, record the broadcast pair,
-    act, incur the stage cost, then advance the state with w_t.
+    The cycle at each t is: observe, read each agent's memory off the
+    history, act, incur the stage cost, then advance the state with w_t.
     """
-    T = s.horizon
     K = s.agent_count
-    values: dict = {}
+    history: list[str] = []
     states = [prim.x0]
-    ys = [[] for _ in range(K)]
-    us = [[] for _ in range(K)]
-    casts = [[] for _ in range(K)]
     costs = []
     x = prim.x0
-    for t in range(T + 1):
-        for k in s.agents():
-            y = s.h(k, t, x, prim.v[k - 1][t])
-            ys[k - 1].append(y)
-            values[obs(k, t)] = y
-        for k in s.agents():
-            casts[k - 1].append((ys[k - 1][t], us[k - 1][t - 1] if t > 0 else None))
-        u_profile = []
-        for k in s.agents():
-            mem = memory_labels(d, k, t)
-            mreal = Realization(tuple((l, values[l]) for l in mem))
-            u_profile.append(action_fn(k, t, mreal))
-        u_profile = tuple(u_profile)
-        for k in s.agents():
-            values[act(k, t)] = u_profile[k - 1]
-            us[k - 1].append(u_profile[k - 1])
-        costs.append(s.c(t, x, u_profile))
-        x = s.f(t, x, u_profile, prim.w[t])
+    for t in s.times():
+        history.extend(s.h(k, t, x, prim.v[k - 1][t]) for k in s.agents())
+        u = tuple(g.action(k, t, realization_at(memory_labels(d, k, t),
+                                                 history, K))
+                  for k in s.agents())
+        history.extend(u)
+        costs.append(s.c(t, x, u))
+        x = s.f(t, x, u, prim.w[t])
         states.append(x)
-    return Trajectory(
-        states=tuple(states),
-        w=prim.w,
-        v=prim.v,
-        observations=tuple(tuple(col) for col in ys),
-        actions=tuple(tuple(col) for col in us),
-        broadcasts=tuple(tuple(col) for col in casts),
-        stage_costs=tuple(costs),
-    )
+    return Trajectory(states=tuple(states), w=prim.w, v=prim.v,
+                      history=tuple(history), stage_costs=tuple(costs))
 
 
 class PrimitiveAssignments:
@@ -366,7 +368,7 @@ def joint_distribution(s: Scenario, d: DelayMatrix, g: Policy,
     """
     out: dict[Trajectory, float] = {}
     for prim in enumerate_primitives(s, cap):
-        traj = propagate(s, d, prim, g.action)
+        traj = propagate(s, d, prim, g)
         out[traj] = out.get(traj, 0.0) + prim.prob
     return out
 
@@ -391,4 +393,4 @@ def simulate(s: Scenario, t: Topology, g: Policy, seed: int) -> Trajectory:
         for k in s.agents()
     )
     prim = PrimitiveAssignment(x0=x0, w=w, v=v, prob=1.0)
-    return propagate(s, d, prim, g.action)
+    return propagate(s, d, prim, g)

@@ -90,7 +90,7 @@ def evaluate_policy(s: Scenario, d: DelayMatrix, g: Policy,
     """Exact expected total cost of a policy via full primitive enumeration."""
     total = 0.0
     for prim in enumerate_primitives(s, cap):
-        total += prim.prob * propagate(s, d, prim, g.action).total_cost
+        total += prim.prob * propagate(s, d, prim, g).total_cost
     return total
 
 

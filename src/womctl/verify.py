@@ -43,6 +43,7 @@ from .infostruct import (
     memory_labels,
     new_info_labels,
     obs as obs_label,
+    realization_at,
 )
 from .prescription import (
     CompletePrescription,
@@ -231,8 +232,9 @@ def theta_fingerprint(theta: CompletePrescription) -> tuple:
 @dataclass
 class CheckResult:
     """Running instance count and worst deviation of one check; the first
-    instance that takes the worst past ``tol`` ends the check and is its
-    counterexample. A boolean deviation (the instance failed) counts as 1.0."""
+    instance whose deviation passes ``tol`` times its scale ends the check
+    and is its counterexample. A boolean deviation (the instance failed)
+    counts as 1.0."""
 
     name: str
     description: str
@@ -245,13 +247,14 @@ class CheckResult:
     def passed(self) -> bool:
         return self.counterexample is None
 
-    def see(self, deviation: float | bool, witness: dict | None) -> None:
+    def see(self, deviation: float | bool, witness: dict | None,
+            scale: float = 1.0) -> None:
         if self.passed:
             self.instances += 1
             if isinstance(deviation, bool):
                 deviation = float(deviation)
             self.worst_deviation = max(self.worst_deviation, deviation)
-            if self.worst_deviation > self.tol:
+            if deviation > self.tol * scale:
                 self.counterexample = witness
 
     def merge(self, later: "CheckResult") -> None:
@@ -343,13 +346,18 @@ def build_inputs(scenario_path: str | None, random_n: int, seed: int,
         yield Case(seed, policy_cap, assign_cap, **parts)
 
 
+# every check, in the order of definition, which is the report's order
+CHECKS: list = []
+
+
 def _checks(kind: str, run, *specs) -> list:
     """The checks on the cases with a ``kind`` part that one pass
     ``run(case, *tallies)`` feeds, one per ``(name, description[, tol])``
-    spec and in spec order; the pass takes their tallies in that order. A
-    check takes the case and the run's tallies by name, and returns its own
-    tally. The first check runs the pass on the case while any of the pass's
-    checks is still passing; the others only return their tally."""
+    spec and in spec order, each appended to ``CHECKS``; the pass takes
+    their tallies in that order. A check takes the case and the run's
+    tallies by name, and returns its own tally. The first check runs the
+    pass on the case while any of the pass's checks is still passing; the
+    others only return their tally."""
     names = [spec[0] for spec in specs]
 
     def check_for(spec):
@@ -362,19 +370,20 @@ def _checks(kind: str, run, *specs) -> list:
                 run(case, *tallies)
             return results[name]
         check.__name__, check.kind, check.spec = name, kind, spec
+        CHECKS.append(check)
         return check
     return [check_for(spec) for spec in specs]
 
 
 def _check(kind: str, name: str, description: str, tol: float = BELIEF_TOL):
-    """Turn a generator that yields one (deviation, witness) per instance of
-    a case into check ``name``, the one check of its own pass: the generator
-    is not resumed after the first failing instance, nor started once the
-    check has failed."""
+    """Turn a generator that yields one (deviation, witness[, scale]) per
+    instance of a case into check ``name``, the one check of its own pass:
+    the generator is not resumed after the first failing instance, nor
+    started once the check has failed."""
     def wrap(instances):
         def run(case: Case, result: CheckResult) -> None:
-            for deviation, witness in instances(case):
-                result.see(deviation, witness)
+            for deviation, witness, *scale in instances(case):
+                result.see(deviation, witness, *scale)
                 if not result.passed:
                     break
         check, = _checks(kind, run, (name, description, tol))
@@ -491,11 +500,10 @@ def check_stage_costs_match(case: Case):
     idx, name, _topo, d, s = case.scenario
     g = random_total_policy(sub_rng(case.seed, 12, idx), s, d, case.assign_cap)
     yield _first_over(
-        (traj.stage_costs[t] != s.c(t, traj.states[t], tuple(
-            traj.actions[k - 1][t] for k in s.agents())),
-         {"case": name, "t": t})
+        (cost != s.c(t, x, u), {"case": name, "t": t})
         for traj in joint_distribution(s, d, g, case.assign_cap)
-        for t in s.times())
+        for t, (x, u, cost) in enumerate(zip(
+            traj.states, zip(*traj.actions), traj.stage_costs)))
 
 
 @_check("info", "accessible_info_monotone_in_time",
@@ -575,7 +583,7 @@ def check_memory_vs_replay(case: Case):
 def _induced_actions(s, d, psi, cap):
     """Action profiles per primitive assignment under a strategy."""
     g = strategy_to_policy(s, d, psi, cap)
-    return [propagate(s, d, prim, g.action).actions
+    return [propagate(s, d, prim, g).actions
             for prim in enumerate_primitives(s, cap)]
 
 
@@ -693,7 +701,7 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
                        {"case": name, "agent": k, "t": t})
 
 
-FILTER_CHECKS = _checks(
+_checks(
     "scenario", _filter_pass,
     ("filter_chain_matches_direct_conditioning",
      "chained filter updates equal direct conditioning at every history"),
@@ -709,34 +717,29 @@ FILTER_CHECKS = _checks(
         "sufficient state, noises and prescription determine the next step")
 def check_sufficient_state_determinism(case: Case):
     idx, name, _topo, d, s = case.scenario
+    K = s.agent_count
     for k in s.agents():
         for rep in range(2):
             psi = random_strategy(sub_rng(case.seed, 17, idx, k, rep), s, d,
                                   k, case.assign_cap)
             g = strategy_to_policy(s, d, psi, case.assign_cap)
             for prim in enumerate_primitives(s, case.assign_cap):
-                traj = propagate(s, d, prim, g.action)
-                values = {}
-                for t in s.times():
-                    for j in s.agents():
-                        values[obs_label(j, t)] = traj.observations[j - 1][t]
-                        values[act_label(j, t)] = traj.actions[j - 1][t]
-
-                def realize(labels):
-                    return Realization(tuple((l, values[l]) for l in labels))
-
+                traj = propagate(s, d, prim, g)
+                h, us = traj.history, traj.actions
                 for t in s.times():
                     at = {"case": name, "agent": k, "t": t}
                     st = SufficientState(
                         owner=k, time=t, x=traj.states[t],
-                        info=realize(sufficient_info_labels(d, k, t)))
+                        info=realization_at(sufficient_info_labels(d, k, t),
+                                            h, K))
                     theta = complete_prescription_at(
-                        s, d, psi, t, realize(accessible_labels(d, k, t)))
+                        s, d, psi, t,
+                        realization_at(accessible_labels(d, k, t), h, K))
                     # equal stage costs alone would let a wrong action
                     # with the same cost through
                     if tuple(act(gamma, st.info.restrict(gamma.domain))
                              for gamma in theta.parts) != tuple(
-                            traj.actions[j - 1][t] for j in s.agents()):
+                            us[j - 1][t] for j in s.agents()):
                         yield True, {**at, "what": "actions"}
                         continue
                     cost_wrong = (stage_cost_hat(s, st, theta, d)
@@ -748,10 +751,18 @@ def check_sufficient_state_determinism(case: Case):
                     st2, z2 = state_step(s, d, st, prim.w[t], vn, theta)
                     want_st2 = SufficientState(
                         owner=k, time=t + 1, x=traj.states[t + 1],
-                        info=realize(sufficient_info_labels(d, k, t + 1)))
-                    want_z = realize(new_info_labels(d, k, t + 1))
+                        info=realization_at(
+                            sufficient_info_labels(d, k, t + 1), h, K))
+                    want_z = realization_at(new_info_labels(d, k, t + 1),
+                                            h, K)
                     yield (st2 != want_st2 or z2 != want_z,
                            {**at, "what": "state step"})
+
+
+def _cost_scale(s: Scenario) -> float:
+    """What the tolerance of a check that compares expected costs is
+    multiplied by: max(1, B), so that it holds at any cost magnitude."""
+    return max(1.0, s.cost_bound)
 
 
 @_check("scenario", "strategy_policy_cost_equivalence",
@@ -760,13 +771,14 @@ def check_sufficient_state_determinism(case: Case):
 def check_cost_equivalence(case: Case):
     cap = case.assign_cap
     idx, name, _topo, d, s = case.scenario
+    scale = _cost_scale(s)
     for rep in range(5):
         g = random_total_policy(sub_rng(case.seed, 18, idx, rep), s, d, cap)
         base = evaluate_policy(s, d, g, cap)
         for k in s.agents():
             psi = policy_to_strategy(s, d, g, k, cap)
             yield (abs(evaluate_strategy(s, d, psi, cap) - base),
-                   {"case": name, "owner": k, "rep": rep})
+                   {"case": name, "owner": k, "rep": rep}, scale)
 
 
 def _capped(solve, *args):
@@ -783,15 +795,16 @@ def _solver_pass(case: Case, dp_brute: CheckResult, greedy: CheckResult,
     solve of the case; a capped solve skips the checks that need it."""
     _idx, name, _topo, d, s = case.scenario
     caps = (case.policy_cap, case.assign_cap)
+    scale = _cost_scale(s)
     br = _capped(brute_force_optimal, s, d, *caps)
     dp = _capped(common_info_dp, s, d, *caps)
     if br is not None and dp is not None:
         dp_brute.see(abs(br.value - dp.value),
-                     {"case": name, "brute": br.value, "dp": dp.value})
+                     {"case": name, "brute": br.value, "dp": dp.value}, scale)
     if dp is not None and greedy.passed:
         got = evaluate_strategy(s, d, dp.argmin, case.assign_cap)
         greedy.see(abs(got - dp.value),
-                   {"case": name, "value": dp.value, "evaluated": got})
+                   {"case": name, "value": dp.value, "evaluated": got}, scale)
     if br is None or not structural.passed:
         return
     for k in s.agents():
@@ -799,10 +812,10 @@ def _solver_pass(case: Case, dp_brute: CheckResult, greedy: CheckResult,
         if st is not None:
             structural.see(abs(st.value - br.value),
                            {"case": name, "agent": k,
-                            "brute": br.value, "structural": st.value})
+                            "brute": br.value, "structural": st.value}, scale)
 
 
-SOLVER_CHECKS = _checks(
+_checks(
     "scenario", _solver_pass,
     ("dp_matches_brute_force",
      "belief-space backward induction attains the exhaustive optimum"),
@@ -829,7 +842,8 @@ def check_monotone_information(case: Case):
             j_fast = brute_force_optimal(s, min_delay_matrix(fast), *caps).value
         except EnumerationCapExceeded:
             continue
-        yield j_fast - j_slow, {"pair": i, "slow": j_slow, "fast": j_fast}
+        yield (j_fast - j_slow, {"pair": i, "slow": j_slow, "fast": j_fast},
+               _cost_scale(s))
 
 
 @_check("scenario", "domain_report_subset_relation",
@@ -841,34 +855,6 @@ def check_domain_subset_report(case: Case):
          or row.own_realizations > row.common_realizations,
          {"case": name, "agent": row.agent, "t": row.time})
         for row in domain_comparison(s, d).rows)
-
-
-CHECKS = [
-    check_delay_diagonal_zero,
-    check_delay_triangle,
-    check_delay_vs_path_enumeration,
-    check_information_path_delay,
-    check_delay_finite,
-    check_trajectory_probability_product,
-    check_simulate_matches_enumeration,
-    check_stage_costs_match,
-    check_accessible_monotone,
-    check_accessible_nesting,
-    check_memory_partition,
-    check_own_private_within_common_private,
-    check_memory_monotone,
-    check_memory_vs_replay,
-    check_prescription_consistency,
-    check_round_trip,
-    check_prescription_domains,
-    check_transfer_composition,
-    *FILTER_CHECKS,
-    check_sufficient_state_determinism,
-    check_cost_equivalence,
-    *SOLVER_CHECKS,
-    check_monotone_information,
-    check_domain_subset_report,
-]
 
 
 # Cases between two full collections in ``run_cases``. A full collection also

@@ -26,11 +26,10 @@ from womctl.belief import (
 from womctl.infostruct import (
     Realization,
     accessible_labels,
-    act as act_label,
     inaccessible_labels,
     memory_labels,
     new_info_labels,
-    obs as obs_label,
+    realization_at,
 )
 from womctl.belief import SufficientState
 from womctl.fixtures import fixture_path
@@ -266,26 +265,23 @@ def test_criterion_6_expected_cost_property(inst_a):
 
 def test_criterion_7_sufficient_state_determinism(inst_a):
     _topo, s, d = inst_a
+    K = s.agent_count
     checked = 0
     for k in (1, 2):
         for rep in range(10):
             psi = random_strategy(sub_rng(1007, k, rep), s, d, k)
             g = strategy_to_policy(s, d, psi)
             for prim in enumerate_primitives(s):
-                traj = propagate(s, d, prim, g.action)
-                values = {}
+                traj = propagate(s, d, prim, g)
+                h = traj.history
                 for t in s.times():
-                    for j in s.agents():
-                        values[obs_label(j, t)] = traj.observations[j - 1][t]
-                        values[act_label(j, t)] = traj.actions[j - 1][t]
-                for t in s.times():
-                    info = sufficient_info_labels(d, k, t)
                     st = SufficientState(
                         owner=k, time=t, x=traj.states[t],
-                        info=Realization(tuple((l, values[l]) for l in info)))
-                    a_t = Realization(tuple(
-                        (l, values[l]) for l in accessible_labels(d, k, t)))
-                    theta = complete_prescription_at(s, d, psi, t, a_t)
+                        info=realization_at(sufficient_info_labels(d, k, t),
+                                            h, K))
+                    theta = complete_prescription_at(
+                        s, d, psi, t,
+                        realization_at(accessible_labels(d, k, t), h, K))
                     assert stage_cost_hat(s, st, theta, d) == \
                         traj.stage_costs[t]
                     checked += 1
@@ -293,12 +289,12 @@ def test_criterion_7_sufficient_state_determinism(inst_a):
                         continue
                     vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
                     st2, z2 = state_step(s, d, st, prim.w[t], vn, theta)
-                    info2 = sufficient_info_labels(d, k, t + 1)
                     assert st2 == SufficientState(
                         owner=k, time=t + 1, x=traj.states[t + 1],
-                        info=Realization(tuple((l, values[l]) for l in info2)))
-                    assert z2 == Realization(tuple(
-                        (l, values[l]) for l in new_info_labels(d, k, t + 1)))
+                        info=realization_at(
+                            sufficient_info_labels(d, k, t + 1), h, K))
+                    assert z2 == realization_at(new_info_labels(d, k, t + 1),
+                                                h, K)
     _report(7, f"{checked} (state, noise, prescription) tuples, "
                f"zero violations")
 
@@ -354,12 +350,11 @@ def test_criterion_10_positional_transfer(inst_a):
     for rep in range(20):
         owner = 1 + rep % 2
         psi = random_strategy(sub_rng(1010, rep), s, d, owner)
-        base = [propagate(s, d, p, strategy_to_policy(s, d, psi).action).actions
+        base = [propagate(s, d, p, strategy_to_policy(s, d, psi)).actions
                 for p in prims]
         for j in (1, 2):
             moved = positional_transfer(psi, j, s, d)
-            got = [propagate(s, d, p,
-                             strategy_to_policy(s, d, moved).action).actions
+            got = [propagate(s, d, p, strategy_to_policy(s, d, moved)).actions
                    for p in prims]
             assert got == base, f"transfer {owner}->{j} changed the actions"
             checked += 1

@@ -235,7 +235,7 @@ def test_state_step_detects_model_perturbation(inst_a):
     import dataclasses
     from womctl.scenario import enumerate_primitives, propagate
     from womctl.prescription import strategy_to_policy
-    from womctl.infostruct import obs as obs_label, act as act_label
+    from womctl.infostruct import realization_at
     from womctl.belief import SufficientState
 
     _topo, s, d = inst_a
@@ -250,19 +250,13 @@ def test_state_step_detects_model_perturbation(inst_a):
     g = strategy_to_policy(s, d, psi)
     mismatch = False
     for prim in enumerate_primitives(s):
-        traj = propagate(s, d, prim, g.action)
-        values = {}
-        for t in s.times():
-            for j in s.agents():
-                values[obs_label(j, t)] = traj.observations[j - 1][t]
-                values[act_label(j, t)] = traj.actions[j - 1][t]
+        traj = propagate(s, d, prim, g)
         for t in range(s.horizon):
-            info = sufficient_info_labels(d, 2, t)
             st = SufficientState(
                 owner=2, time=t, x=traj.states[t],
-                info=Realization(tuple((l, values[l]) for l in info)))
-            a_t = Realization(tuple(
-                (l, values[l]) for l in accessible_labels(d, 2, t)))
+                info=realization_at(sufficient_info_labels(d, 2, t),
+                                    traj.history, 2))
+            a_t = realization_at(accessible_labels(d, 2, t), traj.history, 2)
             theta = complete_prescription_at(s, d, psi, t, a_t)
             vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
             st2, _z = state_step(s_bad, d, st, prim.w[t], vn, theta)

@@ -625,3 +625,26 @@ def test_a_cost_table_whose_total_fits_still_solves(tmp_path):
         code = cli.main(["solve", "--method", "brute", "--scenario", str(path)])
     assert code == 0
     assert json.loads(out.getvalue())["value"] == pytest.approx(2e307)
+
+
+@pytest.mark.parametrize("exponent", [3, 6, 9, 12])
+def test_costs_are_compared_relative_to_their_bound(exponent, tmp_path):
+    # instance_a with every cost scaled up: the solvers still agree to the
+    # last few bits, which absolute tolerances would call a failure
+    head, rows = Path(INSTANCE_A).read_text(encoding="utf-8").split("[cost]")
+    scaled = []
+    for row in rows.splitlines():
+        if row.startswith("c "):
+            *key, cost = row.split()
+            row = " ".join(key + [repr(float(cost) * 10 ** exponent)])
+        scaled.append(row)
+    path = tmp_path / "scaled.wom"
+    path.write_text(head + "[cost]" + "\n".join(scaled) + "\n",
+                    encoding="utf-8")
+    for argv in (["verify"], ["compare"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + ["--scenario", str(path)])
+        assert code == 0, out.getvalue()
+    rows = out.getvalue().strip().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",yes") for row in rows)

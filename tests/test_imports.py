@@ -44,11 +44,24 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def _registered(node: ast.AST, local: set[str]) -> bool:
+    """Whether a decorator factory of the function's own module (verify's
+    ``@_check(...)``) takes ``node``: that factory is what reads it."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+        and dec.func.id in local for dec in node.decorator_list)
+
+
 def _definitions(source: str) -> list[str]:
     """Module-level functions, classes and constants, and methods, as
-    "name" or "Class.method"; dunders are left out."""
+    "name" or "Class.method"; dunders and functions registered by their own
+    module's decorator are left out."""
     out = []
-    for node in ast.parse(source).body:
+    body = ast.parse(source).body
+    local = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    for node in body:
+        if _registered(node, local):
+            continue
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -86,6 +99,19 @@ def test_unreferenced_definition_detector_flags_a_dead_helper():
               "def unused(): pass\n")
     assert _unreferenced({"m.py": module}, [module, "Box().size()"]) == [
         "m.py: Box.spare", "m.py: unused"]
+
+
+def test_unreferenced_definition_detector_reads_only_local_registration():
+    module = ("from functools import lru_cache\n"
+              "REGISTRY = []\n"
+              "def register(name):\n"
+              "    def add(fn):\n"
+              "        REGISTRY.append(fn)\n"
+              "        return fn\n"
+              "    return add\n"
+              "@register('kept')\ndef kept(): pass\n"
+              "@lru_cache(maxsize=None)\ndef cached(): pass\n")
+    assert _unreferenced({"m.py": module}, [module]) == ["m.py: cached"]
 
 
 def test_every_definition_in_the_package_is_referenced():

@@ -140,8 +140,8 @@ def test_prescribed_actions_replay_the_policy(inst_a):
     for k in (1, 2):
         g2 = strategy_to_policy(s, d, policy_to_strategy(s, d, g, k))
         for prim in enumerate_primitives(s):
-            assert propagate(s, d, prim, g2.action).actions == \
-                propagate(s, d, prim, g.action).actions
+            assert propagate(s, d, prim, g2).actions == \
+                propagate(s, d, prim, g).actions
 
 
 def test_act_requires_the_exact_domain():
@@ -168,7 +168,7 @@ def test_empty_domain_prescription_returns_its_single_action():
 
 
 def _action_tables(s, d, g):
-    return [propagate(s, d, prim, g.action).actions
+    return [propagate(s, d, prim, g).actions
             for prim in enumerate_primitives(s)]
 
 

@@ -223,15 +223,14 @@ def test_stage_costs_match_cost_table(inst_a):
             assert traj.stage_costs[t] == s.c(t, traj.states[t], u)
 
 
-def test_broadcast_pairs_follow_the_cycle(inst_a):
+def test_observations_follow_the_observation_table(inst_a):
     _topo, s, d = inst_a
     g = random_total_policy(sub_rng(7, 3), s, d)
     for traj in joint_distribution(s, d, g):
         for k in s.agents():
             for t in s.times():
-                y, u_prev = traj.broadcasts[k - 1][t]
-                assert y == traj.observations[k - 1][t]
-                assert u_prev == (traj.actions[k - 1][t - 1] if t else None)
+                assert traj.observations[k - 1][t] == s.h(
+                    k, t, traj.states[t], traj.v[k - 1][t])
 
 
 def test_deterministic_scenario_simulates_identically_for_any_seed():

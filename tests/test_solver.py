@@ -13,10 +13,9 @@ from womctl.belief import conditional_beliefs
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import (
-    Realization,
     enumerate_realizations,
-    history_slots,
     memory_labels,
+    realization_at,
 )
 from womctl.prescription import (
     CompletePrescription,
@@ -30,7 +29,7 @@ from womctl.randgen import (
     random_total_policy,
     sub_rng,
 )
-from womctl.scenario import Policy
+from womctl.scenario import Policy, joint_distribution
 from womctl.scenario_io import loads_scenario
 from womctl.serialize import dump_json, strategy_json
 from womctl.solver import (
@@ -550,12 +549,9 @@ def test_particles_run_a_policy_to_its_exact_cost(n, s, d):
     for t in s.times():
         parts = eng.observe(t, parts)
         assert {len(h) for _p, _x, h, _c in parts} == {2 * K * t + K}
-        reads = [(k, memory_labels(d, k, t),
-                  history_slots(memory_labels(d, k, t), K))
-                 for k in s.agents()]
-        u_list = [tuple(g.action(k, t, Realization(tuple(
-                      zip(labels, [h[i] for i in slots]))))
-                        for k, labels, slots in reads)
+        u_list = [tuple(g.action(k, t, realization_at(memory_labels(d, k, t),
+                                                      h, K))
+                        for k in s.agents())
                   for _p, _x, h, _c in parts]
         if t < s.horizon:
             parts = eng.advance(t, [(p, x, h, c + s.c(t, x, u)) for (
@@ -563,6 +559,18 @@ def test_particles_run_a_policy_to_its_exact_cost(n, s, d):
     value = sum(p * (c + s.c(s.horizon, x, u))
                 for (p, x, _h, c), u in zip(parts, u_list))
     assert abs(value - evaluate_policy(s, d, g)) <= 1e-12
+    # the particles and the policy's trajectories share one history layout:
+    # both give the same law of the last state and the whole history
+    engine_law, traj_law = {}, {}
+    for (p, x, h, _c), u in zip(parts, u_list):
+        key = (x, h + u)
+        engine_law[key] = engine_law.get(key, 0.0) + p
+    for traj, p in joint_distribution(s, d, g).items():
+        key = (traj.states[s.horizon], traj.history)
+        traj_law[key] = traj_law.get(key, 0.0) + p
+    assert engine_law.keys() == traj_law.keys()
+    assert max(abs(engine_law[key] - traj_law[key])
+               for key in engine_law) <= 1e-12
 
 
 def _random_thetas(rng, s, d, k):
