@@ -219,7 +219,7 @@ def belief_successors(s: Scenario, d: DelayMatrix, pi: BeliefState,
                 acc: dict[str, float] = {}
                 for v, pv in v_axes[j - 1]:
                     y = s.h(j, t + 1, x2, v)
-                    acc[y] = acc.get(y, 0.0) + pv
+                    acc[y] = acc.get(y, 0) + pv
                 y_axes.append(sorted(acc.items()))
             for ycombo in itertools.product(*y_axes):
                 q = p * pw
@@ -228,7 +228,7 @@ def belief_successors(s: Scenario, d: DelayMatrix, pi: BeliefState,
                 st2, z = _advance_labels(
                     s, d, st, u, x2, tuple(y for y, _ in ycombo))
                 bucket = buckets.setdefault(z, {})
-                bucket[st2] = bucket.get(st2, 0.0) + q
+                bucket[st2] = bucket.get(st2, 0) + q
     out = []
     for z in sorted(buckets, key=lambda r: r.items):
         table = buckets[z]
@@ -267,7 +267,7 @@ class _Engine:
     ``infostruct.history_slots``): at each time the K observations, then the
     K actions. The DFS particles of ``solver`` carry the stage costs charged
     so far, which their search adds before each ``advance``; the conditioning
-    classes below carry 0.0. Both steps merge records with equal (x, history,
+    classes below carry 0. Both steps merge records with equal (x, history,
     cost), which keeps their number at the count of distinguishable prefixes,
     and return them in that key order.
     """
@@ -290,7 +290,7 @@ class _Engine:
                 for vs, p in profiles] for x in s.state_space.values})
 
     def initial_particles(self):
-        return [(p, x0, (), 0.0) for x0, p in self.s.init_dist.support()]
+        return [(p, x0, (), 0) for x0, p in self.s.init_dist.support()]
 
     def observe(self, t: int, records):
         """Branch over sensor noises and append the K observations."""
@@ -313,11 +313,11 @@ def _merged(branches) -> list:
     in key order."""
     merged: dict = {}
     for q, key in branches:
-        merged[key] = merged.get(key, 0.0) + q
+        merged[key] = merged.get(key, 0) + q
     return [(q, *key) for key, q in sorted(merged.items())]
 
 
-# A conditioning class is a record of cost 0.0: it tracks only the
+# A conditioning class is a record of cost 0: it tracks only the
 # probability of its primitive assignments, and no engine step charges cost.
 # ``table`` interns the Realizations and SufficientStates built from classes:
 # keys are plain tuples, and equal ones map to one shared object.
@@ -356,7 +356,7 @@ def _conditionals(d: DelayMatrix, k: int, t: int, records: list, table: dict
                 st = table[key] = SufficientState(
                     owner=k, time=t, x=x,
                     info=_shared(table, info, info_slots, history))
-            probs[st] = probs.get(st, 0.0) + p
+            probs[st] = probs.get(st, 0) + p
         pa = sum(probs.values())
         if pa > 0.0:
             out.append((_shared(table, want, slots, group[0][2]), pa,
@@ -366,26 +366,18 @@ def _conditionals(d: DelayMatrix, k: int, t: int, records: list, table: dict
     return out
 
 
-def root_classes(s: Scenario, d: DelayMatrix, k: int, table: dict,
+def root_classes(eng: _Engine, d: DelayMatrix, k: int, table: dict,
                  cap: int = DEFAULT_ENUM_CAP
                  ) -> list[tuple[Realization, float, BeliefState, list]]:
-    """Agent k's classes at t = 0: every primitive assignment (at most
-    ``cap`` of them), merged on the initial state and the observations at 0.
+    """Agent k's classes at t = 0: ``eng`` observes its initial particles.
     Returns (a, prob of a, belief, classes of a) with positive probability,
-    in canonical ``a`` order.
-
-    The sum runs over whole assignments, not over the initial state and the
-    sensor noises at 0 alone, so this pass does not go through
-    ``_Engine.observe``: the two round differently in the last bits, and the
-    common-info DP's pinned values follow this rounding.
+    in canonical ``a`` order. Classes only merge primitive assignments, so
+    the assignments' count bounds every class list that follows: it is
+    checked against ``cap`` here, and no assignment is built.
     """
-    merged: dict[tuple, float] = {}
-    for prim in enumerate_primitives(s, cap):
-        x = prim.x0
-        key = (x, tuple(s.h(j, 0, x, prim.v[j - 1][0]) for j in s.agents()))
-        merged[key] = merged.get(key, 0.0) + prim.prob
-    return _conditionals(d, k, 0, [(p, x, history, 0.0) for (x, history), p
-                                   in merged.items()], table)
+    enumerate_primitives(eng.s, cap)
+    return _conditionals(d, k, 0, eng.observe(0, eng.initial_particles()),
+                         table)
 
 
 def class_successors(eng: _Engine, d: DelayMatrix, k: int, t: int,
@@ -430,14 +422,14 @@ def conditional_beliefs(s: Scenario, d: DelayMatrix, k: int,
                         ) -> list[tuple[Realization, float, BeliefState]]:
     """Exact conditionals of the sufficient state at t = len(thetas), one per
     realization of agent k's shared information: the root classes pushed
-    through ``thetas`` with ``class_successors``, by one engine built only
-    when there is a step to take. Classes of different realizations never
-    merge, so they are pushed together. Returns (a, prob of a, belief)
-    triples with positive probability, in canonical ``a`` order.
+    through ``thetas`` with ``class_successors``, all by one engine. Classes
+    of different realizations never merge, so they are pushed together.
+    Returns (a, prob of a, belief) triples with positive probability, in
+    canonical ``a`` order.
     """
     table: dict = {}
-    level = root_classes(s, d, k, table, cap)
-    eng = _Engine(s) if thetas else None
+    eng = _Engine(s)
+    level = root_classes(eng, d, k, table, cap)
     for t, theta in enumerate(thetas):
         level = [(a, pa, pi, group) for a, _z, pa, pi, group in class_successors(
             eng, d, k, t, [c for *_a, group in level for c in group], theta,

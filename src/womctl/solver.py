@@ -88,7 +88,7 @@ class DomainReport:
 def evaluate_policy(s: Scenario, d: DelayMatrix, g: Policy,
                     cap: int = DEFAULT_ENUM_CAP) -> float:
     """Exact expected total cost of a policy via full primitive enumeration."""
-    total = 0.0
+    total = 0
     for prim in enumerate_primitives(s, cap):
         total += prim.prob * propagate(s, d, prim, g).total_cost
     return total
@@ -394,7 +394,7 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
             for (p, x, h, _c), ak in zip(parts, akeys[i]):
                 skey = (x, tuple([h[n] for n in slots]))
                 bucket = groups.setdefault(ak, {})
-                bucket[skey] = bucket.get(skey, 0.0) + p
+                bucket[skey] = bucket.get(skey, 0) + p
             reps: list[BeliefState] = []
             ids: dict[tuple, int] = {}
             for ak in sorted(groups):

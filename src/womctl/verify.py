@@ -173,13 +173,12 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     """All reachable conditioning histories of agent k, as a tree.
 
     Nodes at time t are the conditioning classes for their prescription
-    history. The roots are ``root_classes``, the one pass over the primitive
-    assignments; below them, a node's children under a prescription option
-    are its own member classes pushed one step (``class_successors``, by one
-    ``_Engine`` per tree). Edges branch over the prescriptions that differ
-    on the node's support and then over the classes that extend the node's
-    shared realization, labelled by the new-information outcome. The node
-    list is in pre-order: each node
+    history. One ``_Engine`` per tree steps them all: the roots are
+    ``root_classes``, and a node's children under a prescription option are
+    its own member classes pushed one step (``class_successors``). Edges
+    branch over the prescriptions that differ on the node's support and then
+    over the classes that extend the node's shared realization, labelled by
+    the new-information outcome. The node list is in pre-order: each node
     precedes its subtree, and subtrees follow in edge order. A node's member
     classes live only while it waits on the stack, and a leaf holds none; one
     table per call shares equal realizations and sufficient states among the
@@ -192,7 +191,7 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     stack = [(HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
                           weight=pa0, belief=pi0), classes)
              for a0, pa0, pi0, classes in reversed(
-                 root_classes(s, d, k, table, assign_cap))]
+                 root_classes(eng, d, k, table, assign_cap))]
     roots = [root for root, _classes in reversed(stack)]
     all_nodes: list[HistoryNode] = []
     while stack:

@@ -3,13 +3,16 @@
 These deliberately avoid the package's own shortest-path, label-set and
 conditioning code: delays come from exhaustive simple-path enumeration or
 Bellman-Ford relaxation, memories from replaying transmissions hop by hop,
-and conditioning classes from replaying every primitive assignment.
+conditioning classes from replaying every primitive assignment, and exact
+optima from the solvers run on a scenario of ``Fraction`` numbers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from womctl.infostruct import (
     DEFAULT_ENUM_CAP,
@@ -25,7 +28,7 @@ from womctl.prescription import (
     prescription_domain,
     support_prescriptions,
 )
-from womctl.scenario import enumerate_primitives
+from womctl.scenario import Distribution, Scenario, enumerate_primitives
 from womctl.topology import Topology
 
 
@@ -190,3 +193,25 @@ def member_history_tree(s, d, k: int,
     for a0 in sorted(classes, key=lambda r: r.items):
         grow(0, a0, (), classes[a0])
     return nodes
+
+
+def exact_scenario(s: Scenario) -> Scenario:
+    """``s`` with every probability and cost a ``Fraction``: each float read
+    as the shortest decimal that prints as it (so a file's decimals are kept
+    as written), and each distribution divided by its exact total, so that
+    it sums to exactly 1. Without that the routes would differ by about the
+    excess mass times the cost bound: a float distribution sums to 1 only
+    within ``DIST_TOL``, and ``evaluate_policy`` branches on the plant noise
+    at the horizon where the DFS does not. The solvers accumulate from the
+    integer 0, so on this scenario they run in exact arithmetic."""
+    def exact(dist: Distribution) -> Distribution:
+        probs = {v: Fraction(repr(p)) for v, p in dist.probs.items()}
+        total = sum(probs.values())
+        return Distribution(dist.space, {v: p / total
+                                         for v, p in probs.items()})
+
+    return dataclasses.replace(
+        s, cost={key: Fraction(repr(c)) for key, c in s.cost.items()},
+        init_dist=exact(s.init_dist),
+        w_dists={t: exact(dist) for t, dist in s.w_dists.items()},
+        v_dists={key: exact(dist) for key, dist in s.v_dists.items()})

@@ -137,11 +137,11 @@ GOLDEN_ARGMINS = {
 # float.hex of each solver's value: summation order can move the last bit
 GOLDEN_VALUES = {
     "brute-A": "0x1.767a0f9096bb9p-1",
-    "dp-A": "0x1.767a0f9096bbbp-1",
+    "dp-A": "0x1.767a0f9096bbap-1",
     "struct-A-1": "0x1.767a0f9096bb9p-1",
     "struct-A-2": "0x1.767a0f9096bb9p-1",
     "brute-B": "0x1.27ae147ae147cp-1",
-    "dp-B": "0x1.27ae147ae14cfp-1",
+    "dp-B": "0x1.27ae147ae147bp-1",
     "struct-B-1": "0x1.27ae147ae147cp-1",
     "struct-B-2": "0x1.27ae147ae147cp-1",
     "struct-B-3": "0x1.27ae147ae147cp-1",

@@ -298,7 +298,9 @@ def test_conditional_beliefs_split_the_mass_as_the_filter_does(inst_a, k):
 
 
 def test_root_conditioning_streams_the_primitive_assignments(inst_b):
-    # instance_b has 8,192 assignments; held as one list they take 3.2 MB
+    # the roots are the engine's initial particles observed at 0, so none
+    # of instance_b's 8,192 assignments is built (as one list they would
+    # take 3.2 MB)
     _topo, s, d = inst_b
     conditional_beliefs(s, d, 3, ())  # fills the label caches
     tracemalloc.start()

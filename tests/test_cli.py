@@ -556,11 +556,11 @@ PINNED_STDOUT = {
     ("compare", "--scenario", "src/womctl/data/instance_a.wom"):
         "26b0a42436c25ea8120eb845eb1755e48291ef26a74a3e16c545e57d2f760d73",
     ("verify", "--scenario", "src/womctl/data/instance_a.wom"):
-        "91f0f73bd95b5321340149b62d8d2929e47c574fff697bd19b80c03aea8ffe90",
+        "6025aa9e9d772f9511a4aaefd58aa7764a53f170a41efe93a1ae070bc79f1a17",
     ("verify", "--random", "300", "--seed", "0"):
-        "42fa1e09fb928dbd32e14248f7d76e639f9860eb52dcd6ccad71c6a3a5012ada",
+        "9c96635c77b8edcd59cadcfbf483bcf180436e67002114a4fc154981cabf7fbe",
     ("verify", "--random", "300", "--seed", "1"):
-        "5bed8c6101c48306ed69b33de2e4215cd1a63e9c301bb3eac1f6bac05609e57a",
+        "8274ef889f8194123b42d8a03b387ff94f25bb11802ebb47468910a91aa45bf6",
     ("verify", "--random", "300", "--seed", "2"):
         "388a822f00ee805deb3eca04f5b0784a966913b7fc94e7558762b98e667deb3b",
 }
