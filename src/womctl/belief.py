@@ -130,7 +130,7 @@ def _actions_from(st: SufficientState, theta: CompletePrescription,
         dom = prescription_domain(d, st.owner, j, st.time)
         if gamma.domain != dom:
             raise DomainMismatch.between(dom, gamma.domain)
-        l = Realization(tuple((lbl, values[lbl]) for lbl in dom))
+        l = Realization(tuple([(lbl, values[lbl]) for lbl in dom]))
         u.append(act(gamma, l))
     return tuple(u)
 
@@ -145,10 +145,10 @@ def _advance_labels(s: Scenario, d: DelayMatrix, st: SufficientState,
         values[obs_label(j, t + 1)] = ys[j - 1]
         values[act_label(j, t)] = u[j - 1]
     try:
-        info2 = Realization(tuple(
-            (lbl, values[lbl]) for lbl in sufficient_info_labels(d, k, t + 1)))
-        z = Realization(tuple(
-            (lbl, values[lbl]) for lbl in new_info_labels(d, k, t + 1)))
+        info2 = Realization(tuple([
+            (lbl, values[lbl]) for lbl in sufficient_info_labels(d, k, t + 1)]))
+        z = Realization(tuple([
+            (lbl, values[lbl]) for lbl in new_info_labels(d, k, t + 1)]))
     except KeyError as e:  # would contradict the sufficiency of the state
         raise WomctlError(f"label {e.args[0]} is not derivable from the "
                           f"sufficient state at t={t}") from None

@@ -77,11 +77,11 @@ class InfoSet:
 
     def intersect(self, other: "InfoSet") -> "InfoSet":
         mine = set(other.labels)
-        return InfoSet(tuple(l for l in self.labels if l in mine))
+        return InfoSet(tuple([l for l in self.labels if l in mine]))
 
     def difference(self, other: "InfoSet") -> "InfoSet":
         drop = set(other.labels)
-        return InfoSet(tuple(l for l in self.labels if l not in drop))
+        return InfoSet(tuple([l for l in self.labels if l not in drop]))
 
     def issubset(self, other: "InfoSet") -> bool:
         theirs = set(other.labels)
@@ -104,12 +104,12 @@ class Realization:
 
     @property
     def domain(self) -> InfoSet:
-        return InfoSet(tuple(l for l, _ in self.items))
+        return InfoSet(tuple([l for l, _ in self.items]))
 
     def restrict(self, labels: InfoSet) -> "Realization":
         have = dict(self.items)
         try:
-            return Realization(tuple((l, have[l]) for l in labels))
+            return Realization(tuple([(l, have[l]) for l in labels]))
         except KeyError as e:
             raise DomainMismatch(missing=[e.args[0]], extra=[]) from None
 

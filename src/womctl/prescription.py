@@ -244,9 +244,9 @@ def support_prescriptions(s: Scenario, k: int, t: int, doms: list[InfoSet],
     spaces = [s.action_space(j, t).values for j in s.agents()]
 
     def build(tables) -> CompletePrescription:
-        return CompletePrescription(owner=k, time=t, parts=tuple(
+        return CompletePrescription(owner=k, time=t, parts=tuple([
             PrescriptionFunction(owner=k, target=j, time=t, domain=dom,
                                  table=dict(zip(reals, table)), default=acts[0])
             for j, dom, reals, table, acts in zip(
-                s.agents(), doms, dreals, tables, spaces)))
+                s.agents(), doms, dreals, tables, spaces)]))
     return ActionTables(spaces, [len(reals) for reals in dreals], build)

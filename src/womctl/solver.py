@@ -238,27 +238,28 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
 
 # -- common-information dynamic programming ------------------------------------
 
-def _belief_reps_intern(reps: list[BeliefState], b: BeliefState) -> int:
-    for i, r in enumerate(reps):
-        if belief_linf(r, b) <= BELIEF_TOL:
-            return i
-    reps.append(b)
-    return len(reps) - 1
+class _BeliefReps(list):
+    """Belief representatives in interning order; ``memo`` maps the table
+    (the frozenset of its items) of every belief interned to its index."""
+
+    def __init__(self):
+        super().__init__()
+        self.memo: dict[frozenset, int] = {}
 
 
-def _intern(memo: dict, reps: list[BeliefState], b: BeliefState) -> int:
-    """``_belief_reps_intern`` behind a memo of exact repeats.
-
-    ``memo`` maps the sorted positive-mass (state key, probability) pairs of
-    every belief interned into ``reps`` to its index. A belief with the same
-    pairs is at the same L-infinity distance from every rep, and reps are
-    only appended, so the scan would return the index it returned before.
-    All beliefs of one ``reps`` list share owner and time.
-    """
-    key = tuple((st.key(), p) for st, p in b.support())
-    i = memo.get(key)
+def _belief_reps_intern(reps: _BeliefReps, b: BeliefState) -> int:
+    """The index of the first representative within ``BELIEF_TOL`` of ``b``
+    in L-infinity, appending ``b`` if there is none. The memo answers exact
+    repeats: equal tables are equally far from every representative, and
+    representatives are only appended, so the scan would repeat its answer."""
+    key = frozenset(b.probs.items())
+    i = reps.memo.get(key)
     if i is None:
-        i = memo[key] = _belief_reps_intern(reps, b)
+        i = reps.memo[key] = next((n for n, r in enumerate(reps)
+                                   if belief_linf(r, b) <= BELIEF_TOL),
+                                  len(reps))
+        if i == len(reps):
+            reps.append(b)
     return i
 
 
@@ -266,7 +267,7 @@ class _BeliefDP:
     """The common-information DP, valuing each belief when it is interned.
 
     ``intern(t, pi)`` files ``pi`` among level t's representatives with
-    ``_intern``. A new one adds its number of prescriptions to
+    ``_belief_reps_intern``. A new one adds its number of prescriptions to
     ``candidates``, and the cap is checked, before any is built (so it raises
     exactly when the full count would). It is then valued: ``values[t]`` gets
     the least expected stage cost plus ``sum(pz * V(successor))`` over its
@@ -280,8 +281,7 @@ class _BeliefDP:
     def __init__(self, s: Scenario, d: DelayMatrix, policy_cap: int):
         self.s, self.d, self.policy_cap = s, d, policy_cap
         levels = range(s.horizon + 1)
-        self.memos: list[dict] = [{} for _ in levels]
-        self.reps: list[list[BeliefState]] = [[] for _ in levels]
+        self.reps = [_BeliefReps() for _ in levels]
         self.values: list[list[float]] = [[] for _ in levels]
         self.greedy: list[list[tuple]] = [[] for _ in levels]
         self.candidates = 0
@@ -289,7 +289,7 @@ class _BeliefDP:
     def intern(self, t: int, pi: BeliefState) -> int:
         s, d = self.s, self.d
         n = len(self.reps[t])
-        found = _intern(self.memos[t], self.reps[t], pi)
+        found = _belief_reps_intern(self.reps[t], pi)
         if found < n:
             return found
         options = belief_prescriptions(s, d, pi)
@@ -395,12 +395,12 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                 skey = (x, tuple([h[n] for n in slots]))
                 bucket = groups.setdefault(ak, {})
                 bucket[skey] = bucket.get(skey, 0) + p
-            reps: list[BeliefState] = []
+            reps = _BeliefReps()
             ids: dict[tuple, int] = {}
             for ak in sorted(groups):
                 dist = groups[ak]
                 mass = sum(dist.values())
-                # keyed by (x, private values): interning reads probabilities only
+                # keyed by (x, private values): interning reads only the table
                 ids[ak] = _belief_reps_intern(reps, BeliefState(
                     owner=i, time=t,
                     probs={key: q / mass for key, q in dist.items()}))

@@ -71,6 +71,7 @@ from .scenario import (
 from .scenario_io import load_scenario
 from .solver import (
     DEFAULT_POLICY_CAP,
+    _BeliefReps,
     _belief_reps_intern,
     brute_force_optimal,
     common_info_dp,
@@ -663,8 +664,7 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
         chained = {id(root): root.belief for root in roots}
         seen: dict[tuple, BeliefState] = {}
         # the independence and Markov checks intern into their own lists
-        reps: list[BeliefState] = []
-        markov_reps: list[BeliefState] = []
+        reps, markov_reps = _BeliefReps(), _BeliefReps()
         groups: dict[tuple, list] = {}
         for node in nodes:
             pi = chained.pop(id(node))

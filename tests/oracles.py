@@ -215,3 +215,16 @@ def exact_scenario(s: Scenario) -> Scenario:
         init_dist=exact(s.init_dist),
         w_dists={t: exact(dist) for t, dist in s.w_dists.items()},
         v_dists={key: exact(dist) for key, dist in s.v_dists.items()})
+
+
+def scan_intern(reps: list, b, tol: float) -> int:
+    """Belief interning by a plain scan, with no memo: the index of the
+    first of ``reps`` whose table is within ``tol`` of ``b``'s in L-infinity
+    (a state missing from a table has probability 0), appending ``b`` if
+    there is none."""
+    for i, r in enumerate(reps):
+        if max((abs(r.probs.get(st, 0) - b.probs.get(st, 0))
+                for st in r.probs.keys() | b.probs.keys()), default=0) <= tol:
+            return i
+    reps.append(b)
+    return len(reps) - 1

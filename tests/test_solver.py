@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from womctl import belief, solver
+from womctl import belief, solver, verify
 from womctl.belief import conditional_beliefs
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import (
+    DEFAULT_ENUM_CAP,
     enumerate_realizations,
     memory_labels,
     realization_at,
@@ -35,6 +36,7 @@ from womctl.scenario import Policy, joint_distribution
 from womctl.scenario_io import loads_scenario
 from womctl.serialize import dump_json, strategy_json
 from womctl.solver import (
+    DEFAULT_POLICY_CAP,
     brute_force_optimal,
     common_info_dp,
     domain_comparison,
@@ -45,7 +47,7 @@ from womctl.solver import (
 from womctl.topology import Topology, min_delay_matrix
 from womctl.verify import build_inputs
 
-from oracles import exact_scenario
+from oracles import exact_scenario, scan_intern
 
 ONE_SHOT = """
 [agents]
@@ -519,10 +521,17 @@ def test_common_info_dp_at_horizon_two_on_seeded_cases(key, max_delay, noisy):
         assert abs(brute_force_optimal(s, d).value - dp.value) <= 1e-9
 
 
+# instance_b pins the DP only: its filter pass alone would check 19,320
+# interns against full scans
+_INSTANCE_B_INTERNS = ((8257, 8064), None)
+
+
 def _dp_cases():
-    # (interns, answered by the memo) pinned on the bundled instances
-    for name, load, counts in (("instance_a", instance_a, (177, 160)),
-                               ("instance_b", instance_b, (8257, 8064))):
+    # (interns, answered by the memo) pinned on the bundled instances, in
+    # the DP and in verify's filter pass
+    for name, load, counts in (
+            ("instance_a", instance_a, ((177, 160), (1418, 1364))),
+            ("instance_b", instance_b, _INSTANCE_B_INTERNS)):
         topo, s = load()
         yield pytest.param(s, min_delay_matrix(topo), counts, id=name)
     for seed in range(5):
@@ -624,31 +633,46 @@ def test_conditioning_classes_are_never_charged(n, s, d, monkeypatch):
 
 @pytest.mark.parametrize("s, d, counts", _dp_cases())
 def test_intern_memo_returns_what_the_scan_returns(s, d, counts, monkeypatch):
-    real = solver._intern
+    # the DP, the filter pass and structural_search share one interning
+    # routine: each answer, and the list it leaves, must be what a plain
+    # scan over a copy of the list gives
+    real = solver._belief_reps_intern
     memo_hits = []
 
-    def checked(memo, reps, b):
-        want = solver._belief_reps_intern(list(reps), b)
-        before = len(memo)
-        got = real(memo, reps, b)
-        assert got == want
-        memo_hits.append(len(memo) == before)
+    def checked(reps, b):
+        before, copy = len(reps.memo), list(reps)
+        want = scan_intern(copy, b, solver.BELIEF_TOL)
+        got = real(reps, b)
+        assert (got, list(reps)) == (want, copy)
+        memo_hits.append(len(reps.memo) == before)
         return got
-
-    def scan_only(memo, reps, b):
-        return solver._belief_reps_intern(reps, b)
 
     def solved():
         dp = common_info_dp(s, d)
         return dp.value.hex(), dump_json(strategy_json(s, dp.argmin))
 
-    monkeypatch.setattr(solver, "_intern", checked)
+    for module in (solver, verify):
+        monkeypatch.setattr(module, "_belief_reps_intern", checked)
     with_memo = solved()
-    monkeypatch.setattr(solver, "_intern", scan_only)
-    assert with_memo == solved()
     assert memo_hits
     if counts:
-        assert (len(memo_hits), sum(memo_hits)) == counts
+        assert (len(memo_hits), sum(memo_hits)) == counts[0]
+    if counts != _INSTANCE_B_INTERNS:
+        memo_hits.clear()
+        verify._filter_pass(
+            verify.Case(0, DEFAULT_POLICY_CAP, DEFAULT_ENUM_CAP,
+                        scenario=(0, "case", None, d, s)),
+            *(verify.CheckResult(n, "") for n in "abcd"))
+        assert memo_hits
+        if counts:
+            assert (len(memo_hits), sum(memo_hits)) == counts[1]
+        memo_hits.clear()
+        for k in s.agents():
+            structural_search(s, d, k)
+        assert memo_hits
+    monkeypatch.setattr(solver, "_belief_reps_intern", lambda reps, b:
+                        scan_intern(reps, b, solver.BELIEF_TOL))
+    assert solved() == with_memo
 
 
 def _kept_dps(monkeypatch) -> list:
