@@ -34,7 +34,6 @@ from .prescription import (
 )
 from .belief import (
     BeliefState,
-    SufficientState,
     belief_from_scratch,
     belief_update,
     expected_cost,

@@ -59,34 +59,19 @@ def sufficient_info_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:
     return out
 
 
-@dataclass(frozen=True)
-class SufficientState:
-    """Plant state plus a consistent assignment to all private components."""
-
-    owner: int
-    time: int
-    x: str
-    info: Realization
-
-    def key(self) -> tuple:
-        return (self.x, self.info.items)
-
-    def __str__(self) -> str:
-        tail = str(self.info)
-        return f"x={self.x}" if tail == "-" else f"x={self.x},{tail}"
-
-
 @dataclass
 class BeliefState:
-    """Exact probability table over sufficient-state realizations."""
+    """Exact probability table over agent ``owner``'s sufficient states at
+    ``time``. A state is the tuple ``(x, values)``: the plant state and the
+    values of ``sufficient_info_labels(d, owner, time)``, in that order."""
 
     owner: int
     time: int
-    probs: dict[SufficientState, float]
+    probs: dict[tuple[str, tuple[str, ...]], float]
 
-    def support(self) -> list[tuple[SufficientState, float]]:
-        return sorted(((st, p) for st, p in self.probs.items() if p > 0.0),
-                      key=lambda e: e[0].key())
+    def support(self) -> list[tuple[tuple[str, tuple[str, ...]], float]]:
+        # keys are distinct, so the probabilities are never compared
+        return sorted([(st, p) for st, p in self.probs.items() if p > 0.0])
 
     def total(self) -> float:
         return sum(self.probs.values())
@@ -103,86 +88,114 @@ def belief_linf(a: BeliefState, b: BeliefState) -> float:
 
 
 def sufficient_state_space(s: Scenario, d: DelayMatrix, k: int, t: int,
-                           cap: int = DEFAULT_ENUM_CAP) -> list[SufficientState]:
-    """All consistent sufficient-state realizations in canonical order.
+                           cap: int = DEFAULT_ENUM_CAP) -> list[tuple]:
+    """All consistent sufficient states of agent k at t in canonical order.
 
     Component label sets overlap; enumerating over their union assigns each
     shared label once, which is exactly the consistency requirement.
     """
     info = sufficient_info_labels(d, k, t)
-    out = []
-    for x in s.state_space.values:
-        for r in enumerate_realizations(s, info, cap):
-            out.append(SufficientState(owner=k, time=t, x=x, info=r))
-    return out
+    return [(x, tuple([v for _l, v in r.items])) for x in s.state_space.values
+            for r in enumerate_realizations(s, info, cap)]
 
 
-def _actions_from(st: SufficientState, theta: CompletePrescription,
-                  d: DelayMatrix, s: Scenario) -> tuple[str, ...]:
-    if theta.owner != st.owner or theta.time != st.time:
+def _action_plan(s: Scenario, d: DelayMatrix, theta: CompletePrescription,
+                 k: int, t: int) -> list[tuple]:
+    """``theta``'s plan (see ``_actions_from``) for the values of agent k's
+    states at t, which must be ``theta``'s owner and time."""
+    if theta.owner != k or theta.time != t:
         raise WomctlError(
             f"prescription of agent {theta.owner} at t={theta.time} applied "
-            f"to a state of agent {st.owner} at t={st.time}")
-    values = dict(st.info.items)
-    u = []
+            f"to a state of agent {k} at t={t}")
+    where = {l: i for i, l in enumerate(sufficient_info_labels(d, k, t))}
+    plan = []
     for j in s.agents():
-        gamma = theta.parts[j - 1]
-        dom = prescription_domain(d, st.owner, j, st.time)
+        gamma, dom = theta.parts[j - 1], prescription_domain(d, k, j, t)
         if gamma.domain != dom:
             raise DomainMismatch.between(dom, gamma.domain)
-        l = Realization(tuple([(lbl, values[lbl]) for lbl in dom]))
-        u.append(act(gamma, l))
+        plan.append((gamma, tuple([where[l] for l in dom]), {}))
+    return plan
+
+
+def _actions_from(plan: list[tuple], values) -> tuple[str, ...]:
+    """The action profile at ``values``. A plan holds, per target, the part,
+    the slots of its domain in ``values``, and the actions found so far by
+    domain values."""
+    u = []
+    for gamma, slots, seen in plan:
+        key = tuple([values[i] for i in slots])
+        uj = seen.get(key)
+        if uj is None:
+            # sized tuples: one built from an iterator is resized, and the
+            # discarded ones pile up in CPython's tuple free lists
+            uj = seen[key] = act(gamma, Realization(tuple(list(zip(
+                gamma.domain, key)))))
+        u.append(uj)
     return tuple(u)
 
 
-def _advance_labels(s: Scenario, d: DelayMatrix, st: SufficientState,
-                    u: tuple[str, ...], x2: str, ys: tuple[str, ...]
-                    ) -> tuple[SufficientState, Realization]:
-    """Re-partition accumulated variables given next state and observations."""
-    k, t = st.owner, st.time
-    values = dict(st.info.items)
-    for j in s.agents():
-        values[obs_label(j, t + 1)] = ys[j - 1]
-        values[act_label(j, t)] = u[j - 1]
+def _state_actions(s: Scenario, d: DelayMatrix, st: tuple,
+                   theta: CompletePrescription) -> tuple[str, ...]:
+    """The actions ``theta`` prescribes at ``st``, a state of agent
+    ``theta.owner`` at ``theta.time`` whose values must fill it."""
+    k, t = theta.owner, theta.time
+    n = len(sufficient_info_labels(d, k, t))
+    if len(st[1]) != n:
+        raise WomctlError(f"a state of agent {k} at t={t} holds {n} private "
+                          f"values, not {len(st[1])}")
+    return _actions_from(_action_plan(s, d, theta, k, t), st[1])
+
+
+def _advance_plan(s: Scenario, d: DelayMatrix, k: int, t: int) -> tuple:
+    """The slots of agent k's next state, and of its new information at
+    t + 1, in ``values + ys + u``: a state's values at t, the K observations
+    at t + 1 and the K actions at t."""
+    where = {l: i for i, l in enumerate([
+        *sufficient_info_labels(d, k, t),
+        *[obs_label(j, t + 1) for j in s.agents()],
+        *[act_label(j, t) for j in s.agents()]])}
     try:
-        info2 = Realization(tuple([
-            (lbl, values[lbl]) for lbl in sufficient_info_labels(d, k, t + 1)]))
-        z = Realization(tuple([
-            (lbl, values[lbl]) for lbl in new_info_labels(d, k, t + 1)]))
+        return (tuple([where[l] for l in sufficient_info_labels(d, k, t + 1)]),
+                tuple([where[l] for l in new_info_labels(d, k, t + 1)]))
     except KeyError as e:  # would contradict the sufficiency of the state
         raise WomctlError(f"label {e.args[0]} is not derivable from the "
                           f"sufficient state at t={t}") from None
-    return SufficientState(owner=k, time=t + 1, x=x2, info=info2), z
 
 
-def state_step(s: Scenario, d: DelayMatrix, st: SufficientState, w: str,
+def state_step(s: Scenario, d: DelayMatrix, st: tuple, w: str,
                v_next: tuple[str, ...], theta: CompletePrescription
-               ) -> tuple[SufficientState, Realization]:
-    """Deterministic one-step evolution of the sufficient state.
+               ) -> tuple[tuple[str, tuple[str, ...]], Realization]:
+    """Deterministic one-step evolution of the sufficient state ``st`` of
+    agent ``theta.owner`` at ``theta.time``.
 
     Derives all K actions from the complete prescription, advances the plant
     state with w, forms the next observations with each agent's v, and
     re-partitions the accumulated variables into the next private components
     and the newly shared realization.
     """
-    t = st.time
-    u = _actions_from(st, theta, d, s)
-    x2 = s.f(t, st.x, u, w)
+    k, t = theta.owner, theta.time
+    u = _state_actions(s, d, st, theta)
+    x2 = s.f(t, st[0], u, w)
     ys = tuple(s.h(j, t + 1, x2, v_next[j - 1]) for j in s.agents())
-    return _advance_labels(s, d, st, u, x2, ys)
+    nxt, z_at = _advance_plan(s, d, k, t)
+    full = st[1] + ys + u
+    return (x2, tuple([full[i] for i in nxt])), Realization(tuple(list(zip(
+        new_info_labels(d, k, t + 1), [full[i] for i in z_at]))))
 
 
-def stage_cost_hat(s: Scenario, st: SufficientState,
-                   theta: CompletePrescription, d: DelayMatrix) -> float:
-    """Stage cost reconstructed from the sufficient state and prescription."""
-    u = _actions_from(st, theta, d, s)
-    return s.c(st.time, st.x, u)
+def stage_cost_hat(s: Scenario, st: tuple, theta: CompletePrescription,
+                   d: DelayMatrix) -> float:
+    """Stage cost reconstructed from the sufficient state ``st`` of agent
+    ``theta.owner`` at ``theta.time`` and the prescription."""
+    return s.c(theta.time, st[0], _state_actions(s, d, st, theta))
 
 
 def expected_cost(s: Scenario, pi: BeliefState, theta: CompletePrescription,
                   d: DelayMatrix) -> float:
     """Expected stage cost under a belief, as a function of (belief, input)."""
-    return sum(p * stage_cost_hat(s, st, theta, d) for st, p in pi.support())
+    plan = _action_plan(s, d, theta, pi.owner, pi.time)
+    return sum(p * s.c(pi.time, x, _actions_from(plan, values))
+               for (x, values), p in pi.support())
 
 
 def belief_prescriptions(s: Scenario, d: DelayMatrix, pi: BeliefState
@@ -191,9 +204,11 @@ def belief_prescriptions(s: Scenario, d: DelayMatrix, pi: BeliefState
     support of ``pi``, in canonical order, as a sized view: entries off it
     cannot change the expected cost or the filter."""
     k, t = pi.owner, pi.time
+    where = {l: i for i, l in enumerate(sufficient_info_labels(d, k, t))}
     doms = [prescription_domain(d, k, j, t) for j in s.agents()]
     return support_prescriptions(s, k, t, doms, [
-        {st.info.restrict(dom) for st, _p in pi.support()} for dom in doms])
+        {Realization(tuple(list(zip(dom, [values[where[l]] for l in dom]))))
+         for (_x, values), _p in pi.support()} for dom in doms])
 
 
 def belief_successors(s: Scenario, d: DelayMatrix, pi: BeliefState,
@@ -206,13 +221,16 @@ def belief_successors(s: Scenario, d: DelayMatrix, pi: BeliefState,
     on any strategy that may have produced it.
     """
     k, t = pi.owner, pi.time
+    plan = _action_plan(s, d, theta, k, t)
     w_sup = s.w_dists[t].support()
     v_axes = [s.v_dists[(j, t + 1)].support() for j in s.agents()]
-    buckets: dict[Realization, dict[SufficientState, float]] = {}
-    for st, p in pi.support():
-        u = _actions_from(st, theta, d, s)
+    nxt, z_at = _advance_plan(s, d, k, t)
+    # by the values of z: every outcome has the labels of new_info_labels
+    buckets: dict[tuple, dict[tuple, float]] = {}
+    for (x, values), p in pi.support():
+        u = _actions_from(plan, values)
         for w, pw in w_sup:
-            x2 = s.f(t, st.x, u, w)
+            x2 = s.f(t, x, u, w)
             # sensor-noise values inducing the same observation merge
             y_axes = []
             for j in s.agents():
@@ -225,17 +243,18 @@ def belief_successors(s: Scenario, d: DelayMatrix, pi: BeliefState,
                 q = p * pw
                 for _, py in ycombo:
                     q *= py
-                st2, z = _advance_labels(
-                    s, d, st, u, x2, tuple(y for y, _ in ycombo))
-                bucket = buckets.setdefault(z, {})
+                full = values + tuple([y for y, _ in ycombo]) + u
+                st2 = (x2, tuple([full[i] for i in nxt]))
+                bucket = buckets.setdefault(tuple([full[i] for i in z_at]), {})
                 bucket[st2] = bucket.get(st2, 0) + q
+    z_labels = new_info_labels(d, k, t + 1)
     out = []
-    for z in sorted(buckets, key=lambda r: r.items):
+    for z in sorted(buckets):
         table = buckets[z]
         pz = sum(table.values())
         if pz <= 0.0:
             continue
-        out.append((z, pz, BeliefState(
+        out.append((Realization(tuple(list(zip(z_labels, z)))), pz, BeliefState(
             owner=k, time=t + 1,
             probs={st: q / pz for st, q in table.items() if q > 0.0})))
     return out
@@ -319,8 +338,8 @@ def _merged(branches) -> list:
 
 # A conditioning class is a record of cost 0: it tracks only the
 # probability of its primitive assignments, and no engine step charges cost.
-# ``table`` interns the Realizations and SufficientStates built from classes:
-# keys are plain tuples, and equal ones map to one shared object.
+# ``table`` interns the Realizations ``a`` and ``z`` built from classes: keys
+# are plain tuples, and equal ones map to one shared object.
 
 def _shared(table: dict, labels: InfoSet, slots: tuple[int, ...],
             history: tuple[str, ...]) -> Realization:
@@ -331,39 +350,39 @@ def _shared(table: dict, labels: InfoSet, slots: tuple[int, ...],
     return r
 
 
-def _conditionals(d: DelayMatrix, k: int, t: int, records: list, table: dict
-                  ) -> list[tuple[Realization, float, BeliefState, list]]:
-    """Class records grouped by agent k's accessible realization ``a`` at t:
-    (a, prob of a, sufficient-state conditional, records of a) with positive
-    probability, in canonical ``a`` order; each group keeps the order of
-    ``records``. Every key shares the labels, so value order is
-    ``Realization.items`` order."""
-    want = accessible_labels(d, k, t)
-    slots = history_slots(want, d.agent_count)
-    info = sufficient_info_labels(d, k, t)
-    info_slots = history_slots(info, d.agent_count)
+def _grouped(k: int, t: int, records: list, keys: list,
+             info_slots: tuple[int, ...]) -> list[tuple]:
+    """Records grouped by their ``keys``, each group in ``records`` order:
+    (key, prob of the group, agent k's conditional at t, whose states' values
+    are read at ``info_slots``, records of the group) with positive
+    probability, in key order."""
     groups: dict[tuple, list] = {}
-    for rec in records:
-        groups.setdefault(tuple(rec[2][i] for i in slots), []).append(rec)
+    for rec, key in zip(records, keys):
+        groups.setdefault(key, []).append(rec)
     out = []
-    for values in sorted(groups):
-        group = groups[values]
-        probs: dict[SufficientState, float] = {}
+    for key in sorted(groups):
+        group = groups[key]
+        probs: dict[tuple, float] = {}
         for p, x, history, _c in group:
-            key = (t, x, info_slots, tuple(history[i] for i in info_slots))
-            st = table.get(key)
-            if st is None:
-                st = table[key] = SufficientState(
-                    owner=k, time=t, x=x,
-                    info=_shared(table, info, info_slots, history))
+            st = (x, tuple([history[i] for i in info_slots]))
             probs[st] = probs.get(st, 0) + p
         pa = sum(probs.values())
         if pa > 0.0:
-            out.append((_shared(table, want, slots, group[0][2]), pa,
-                        BeliefState(owner=k, time=t, probs={
-                            st: p / pa for st, p in probs.items()}),
-                        group))
+            out.append((key, pa, BeliefState(owner=k, time=t, probs={
+                st: p / pa for st, p in probs.items()}), group))
     return out
+
+
+def _conditionals(d: DelayMatrix, k: int, t: int, records: list, table: dict
+                  ) -> list[tuple[Realization, float, BeliefState, list]]:
+    """``_grouped`` by agent k's accessible realization ``a`` at t, with ``a``
+    in place of its values (their order is ``Realization.items`` order)."""
+    want = accessible_labels(d, k, t)
+    slots = history_slots(want, d.agent_count)
+    info_slots = history_slots(sufficient_info_labels(d, k, t), d.agent_count)
+    keys = [tuple([h[i] for i in slots]) for _p, _x, h, _c in records]
+    return [(_shared(table, want, slots, group[0][2]), pa, pi, group)
+            for _a, pa, pi, group in _grouped(k, t, records, keys, info_slots)]
 
 
 def root_classes(eng: _Engine, d: DelayMatrix, k: int, table: dict,
@@ -395,20 +414,9 @@ def class_successors(eng: _Engine, d: DelayMatrix, k: int, t: int,
     belief.
     """
     agents = d.agent_count
-    # per target: the part, its slots, and the actions found so far by value
-    parts = [(gamma, history_slots(gamma.domain, agents), {})
-             for gamma in theta.parts]
-    u_list = []
-    for _p, _x, history, _c in classes:
-        u = []
-        for gamma, slots, seen in parts:
-            values = tuple(history[i] for i in slots)
-            uj = seen.get(values)
-            if uj is None:
-                uj = seen[values] = act(
-                    gamma, Realization(tuple(zip(gamma.domain, values))))
-            u.append(uj)
-        u_list.append(tuple(u))
+    plan = [(gamma, history_slots(gamma.domain, agents), {})
+            for gamma in theta.parts]
+    u_list = [_actions_from(plan, history) for _p, _x, history, _c in classes]
     records = eng.observe(t + 1, eng.advance(t, classes, u_list))
     z_labels = new_info_labels(d, k, t + 1)
     z_slots = history_slots(z_labels, agents)

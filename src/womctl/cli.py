@@ -158,7 +158,7 @@ def cmd_belief(args) -> int:
     a = parse_realization(accessible)
     assign_cap, _ = _caps(args)
     pi = belief_from_scratch(s, d, k, a, thetas, assign_cap)
-    _emit(args, dump_json(belief_json(pi)))
+    _emit(args, dump_json(belief_json(d, pi)))
     return EXIT_OK
 
 

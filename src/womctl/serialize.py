@@ -29,7 +29,7 @@ from .prescription import (
 )
 from .scenario import Policy, Scenario
 from .topology import DelayMatrix
-from .belief import BeliefState
+from .belief import BeliefState, sufficient_info_labels
 
 _LABEL_RE = re.compile(r"^([yu])([0-9]+)@([0-9]+)$")
 
@@ -114,12 +114,12 @@ def strategy_json(s: Scenario, psi: FullStrategy) -> dict:
             "horizon": psi.horizon, "parts": parts}
 
 
-def belief_json(b: BeliefState) -> dict:
-    return {
-        "agent": b.owner,
-        "time": b.time,
-        "belief": {str(st): p for st, p in b.support()},
-    }
+def belief_json(d: DelayMatrix, b: BeliefState) -> dict:
+    """A belief's table, each state printed as ``x=a,y1@0=a,...``."""
+    labels = sufficient_info_labels(d, b.owner, b.time)
+    return {"agent": b.owner, "time": b.time, "belief": {
+        ",".join([f"x={x}", *[f"{l}={v}" for l, v in zip(labels, values)]]): p
+        for (x, values), p in b.support()}}
 
 
 def parse_prescriptions(s: Scenario, d: DelayMatrix, k: int,

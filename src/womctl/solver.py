@@ -24,6 +24,7 @@ from .belief import (
     BELIEF_TOL,
     BeliefState,
     _Engine,
+    _grouped,
     belief_linf,
     belief_prescriptions,
     belief_successors,
@@ -389,22 +390,10 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
                      for _p, _x, h, _c in parts] for i in watchers}
         belief_id: dict[int, dict[tuple, int]] = {}
         for i in watchers:
-            groups: dict[tuple, dict[tuple, float]] = {}
-            slots = suff_slots[i][t]
-            for (p, x, h, _c), ak in zip(parts, akeys[i]):
-                skey = (x, tuple([h[n] for n in slots]))
-                bucket = groups.setdefault(ak, {})
-                bucket[skey] = bucket.get(skey, 0) + p
             reps = _BeliefReps()
-            ids: dict[tuple, int] = {}
-            for ak in sorted(groups):
-                dist = groups[ak]
-                mass = sum(dist.values())
-                # keyed by (x, private values): interning reads only the table
-                ids[ak] = _belief_reps_intern(reps, BeliefState(
-                    owner=i, time=t,
-                    probs={key: q / mass for key, q in dist.items()}))
-            belief_id[i] = ids
+            belief_id[i] = {ak: _belief_reps_intern(reps, pi)
+                            for ak, _pa, pi, _group in _grouped(
+                                i, t, parts, akeys[i], suff_slots[i][t])}
         # measurability cells per target: (belief-tuple id, domain realization)
         keys: list[list[tuple]] = []
         cond_pairs: list[tuple] = []

@@ -20,7 +20,6 @@ from typing import Iterator
 from .belief import (
     BELIEF_TOL,
     BeliefState,
-    SufficientState,
     _Engine,
     belief_linf,
     belief_prescriptions,
@@ -39,6 +38,7 @@ from .infostruct import (
     accessible_labels,
     act as act_label,
     clear_label_caches,
+    history_slots,
     inaccessible_labels,
     memory_labels,
     new_info_labels,
@@ -663,8 +663,10 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
         # chained beliefs of the nodes not visited yet, by node id
         chained = {id(root): root.belief for root in roots}
         seen: dict[tuple, BeliefState] = {}
-        # the independence and Markov checks intern into their own lists
-        reps, markov_reps = _BeliefReps(), _BeliefReps()
+        # the independence and Markov checks intern into their own lists,
+        # one per time: equal (x, values) keys of two times are two states
+        reps = [_BeliefReps() for _ in s.times()]
+        markov_reps = [_BeliefReps() for _ in s.times()]
         groups: dict[tuple, list] = {}
         for node in nodes:
             pi = chained.pop(id(node))
@@ -672,9 +674,9 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
             chain.see(belief_linf(pi, node.belief), at)
             normalized.see(max(abs(pi.total() - 1.0),
                                abs(node.belief.total() - 1.0)), at)
-            rid = _belief_reps_intern(reps, pi)
+            rid = _belief_reps_intern(reps[node.time], pi)
             if node.time < s.horizon:
-                markov_rid = _belief_reps_intern(markov_reps, pi)
+                markov_rid = _belief_reps_intern(markov_reps[node.time], pi)
             for theta, edges in node.children:
                 tkey = theta_fingerprint(theta)
                 posterior = {z: b for z, _pz, b
@@ -689,7 +691,7 @@ def _filter_pass(case: Case, chain: CheckResult, independent: CheckResult,
                         (node.time, rid, tkey, z.items), nxt)
                     independent.see(0.0 if first is nxt
                                     else belief_linf(first, nxt), at)
-                    nid = _belief_reps_intern(markov_reps, nxt)
+                    nid = _belief_reps_intern(markov_reps[node.time + 1], nxt)
                     law[nid] = law.get(nid, 0.0) + w / node.weight
                 groups.setdefault((node.time, markov_rid, tkey), []
                                   ).append(law)
@@ -727,16 +729,14 @@ def check_sufficient_state_determinism(case: Case):
                 h, us = traj.history, traj.actions
                 for t in s.times():
                     at = {"case": name, "agent": k, "t": t}
-                    st = SufficientState(
-                        owner=k, time=t, x=traj.states[t],
-                        info=realization_at(sufficient_info_labels(d, k, t),
-                                            h, K))
+                    info = realization_at(sufficient_info_labels(d, k, t), h, K)
+                    st = (traj.states[t], tuple([v for _l, v in info.items]))
                     theta = complete_prescription_at(
                         s, d, psi, t,
                         realization_at(accessible_labels(d, k, t), h, K))
                     # equal stage costs alone would let a wrong action
                     # with the same cost through
-                    if tuple(act(gamma, st.info.restrict(gamma.domain))
+                    if tuple(act(gamma, info.restrict(gamma.domain))
                              for gamma in theta.parts) != tuple(
                             us[j - 1][t] for j in s.agents()):
                         yield True, {**at, "what": "actions"}
@@ -748,10 +748,9 @@ def check_sufficient_state_determinism(case: Case):
                         continue
                     vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
                     st2, z2 = state_step(s, d, st, prim.w[t], vn, theta)
-                    want_st2 = SufficientState(
-                        owner=k, time=t + 1, x=traj.states[t + 1],
-                        info=realization_at(
-                            sufficient_info_labels(d, k, t + 1), h, K))
+                    want_st2 = (traj.states[t + 1], tuple([
+                        h[i] for i in history_slots(
+                            sufficient_info_labels(d, k, t + 1), K)]))
                     want_z = realization_at(new_info_labels(d, k, t + 1),
                                             h, K)
                     yield (st2 != want_st2 or z2 != want_z,

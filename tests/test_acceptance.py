@@ -26,12 +26,12 @@ from womctl.belief import (
 from womctl.infostruct import (
     Realization,
     accessible_labels,
+    history_slots,
     inaccessible_labels,
     memory_labels,
     new_info_labels,
     realization_at,
 )
-from womctl.belief import SufficientState
 from womctl.fixtures import fixture_path
 from womctl.prescription import (
     act,
@@ -275,10 +275,8 @@ def test_criterion_7_sufficient_state_determinism(inst_a):
                 traj = propagate(s, d, prim, g)
                 h = traj.history
                 for t in s.times():
-                    st = SufficientState(
-                        owner=k, time=t, x=traj.states[t],
-                        info=realization_at(sufficient_info_labels(d, k, t),
-                                            h, K))
+                    st = (traj.states[t], tuple([h[i] for i in history_slots(
+                        sufficient_info_labels(d, k, t), K)]))
                     theta = complete_prescription_at(
                         s, d, psi, t,
                         realization_at(accessible_labels(d, k, t), h, K))
@@ -289,10 +287,9 @@ def test_criterion_7_sufficient_state_determinism(inst_a):
                         continue
                     vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
                     st2, z2 = state_step(s, d, st, prim.w[t], vn, theta)
-                    assert st2 == SufficientState(
-                        owner=k, time=t + 1, x=traj.states[t + 1],
-                        info=realization_at(
-                            sufficient_info_labels(d, k, t + 1), h, K))
+                    assert st2 == (traj.states[t + 1], tuple([
+                        h[i] for i in history_slots(
+                            sufficient_info_labels(d, k, t + 1), K)]))
                     assert z2 == realization_at(new_info_labels(d, k, t + 1),
                                                 h, K)
     _report(7, f"{checked} (state, noise, prescription) tuples, "

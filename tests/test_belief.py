@@ -15,7 +15,11 @@ from womctl.belief import (
     sufficient_info_labels,
     sufficient_state_space,
 )
-from womctl.errors import ZeroProbabilityCondition, ZeroProbabilityObservation
+from womctl.errors import (
+    WomctlError,
+    ZeroProbabilityCondition,
+    ZeroProbabilityObservation,
+)
 from womctl.infostruct import (
     Realization,
     accessible_labels,
@@ -87,8 +91,7 @@ def test_single_agent_state_space_is_one_per_plant_state():
     _topo, s, d = _single()
     for t in (0, 1):
         space = sufficient_state_space(s, d, 1, t)
-        assert [st.x for st in space] == ["a", "b"]
-        assert all(st.info == Realization(()) for st in space)
+        assert space == [("a", ()), ("b", ())]
 
 
 def test_state_space_counts_match_generate_and_filter_oracle(inst_a, inst_b):
@@ -125,11 +128,10 @@ def test_instance_a_agent1_space_at_t1_has_eight_states(inst_a):
 def test_single_agent_state_step_applies_the_prescription():
     _topo, s, d = _single()
     st = sufficient_state_space(s, d, 1, 0)[0]
-    assert st.x == "a"
+    assert st == ("a", ())
     theta = _const_theta(s, d, 1, 0, "u1")
     st2, z = state_step(s, d, st, "w", ("v0",), theta)
-    assert st2.x == "b"  # f(a, u1, w) = b
-    assert st2.info == Realization(())
+    assert st2 == ("b", ())  # f(a, u1, w) = b
     assert z.domain == new_info_labels(d, 1, 1)
     from womctl.infostruct import act as act_label, obs as obs_label
     assert dict(z.items) == {act_label(1, 0): "u1", obs_label(1, 1): "b"}
@@ -149,7 +151,7 @@ def test_scratch_belief_is_one_step_bayes_at_time_zero():
     a = Realization.of({next(iter(accessible_labels(d, 1, 0))): "a"})
     pi = belief_from_scratch(s, d, 1, a, ())
     post_a = 0.6 * 0.8 / (0.6 * 0.8 + 0.4 * 0.2)
-    by_x = {st.x: p for st, p in pi.support()}
+    by_x = {x: p for (x, _values), p in pi.support()}
     assert abs(by_x["a"] - post_a) < 1e-12
     assert abs(by_x["b"] - (1 - post_a)) < 1e-12
 
@@ -182,7 +184,7 @@ def test_point_mass_belief_with_deterministic_dynamics_stays_point_mass():
     _z, pz, nxt = succ[0]
     assert abs(pz - 1.0) < 1e-15
     assert [p for _st, p in nxt.support()] == [1.0]
-    assert next(iter(nxt.probs)).x == "b"
+    assert next(iter(nxt.probs))[0] == "b"
 
 
 def test_zero_probability_observation_is_an_error():
@@ -220,7 +222,7 @@ def test_expected_cost_trivial_cases():
     a = Realization.of({next(iter(accessible_labels(d, 1, 0))): "a"})
     pi = belief_from_scratch(s, d, 1, a, ())
     theta = _const_theta(s, d, 1, 0, "u0")
-    want = sum(p * s.c(0, st.x, ("u0",)) for st, p in pi.support())
+    want = sum(p * s.c(0, x, ("u0",)) for (x, _values), p in pi.support())
     assert abs(expected_cost(s, pi, theta, d) - want) < 1e-15
     # a point mass reduces to the stage cost at that state
     point = [st for st, _p in pi.support()][0]
@@ -229,14 +231,39 @@ def test_expected_cost_trivial_cases():
         stage_cost_hat(s, point, theta, d)
 
 
+@pytest.mark.parametrize("owner, time", [(1, 0), (2, 1)])
+def test_a_prescription_of_another_owner_or_time_is_rejected(inst_a, owner,
+                                                             time):
+    _topo, s, d = inst_a
+    pi = belief_from_scratch(s, d, 2, Realization(()), ())
+    theta = _const_theta(s, d, owner, time, "u0")
+    want = (f"prescription of agent {owner} at t={time} applied to a state "
+            f"of agent 2 at t=0")
+    with pytest.raises(WomctlError, match=want):
+        belief_successors(s, d, pi, theta)
+    with pytest.raises(WomctlError, match=want):
+        expected_cost(s, pi, theta, d)
+
+
+def test_a_state_of_the_wrong_length_is_rejected(inst_a):
+    # agent 2's states at t = 1 hold four private values
+    _topo, s, d = inst_a
+    st = sufficient_state_space(s, d, 2, 1)[3]
+    theta = _const_theta(s, d, 2, 1, "u0")
+    for bad in ((st[0], st[1][:-1]), (st[0], st[1] + ("a",))):
+        with pytest.raises(WomctlError, match="holds 4 private values"):
+            state_step(s, d, bad, "w0", ("v0", "v0"), theta)
+        with pytest.raises(WomctlError, match="holds 4 private values"):
+            stage_cost_hat(s, bad, theta, d)
+
+
 def test_state_step_detects_model_perturbation(inst_a):
     """Fault injection: an altered transition row makes the reconstructed
     step disagree with trajectories generated by the original model."""
     import dataclasses
     from womctl.scenario import enumerate_primitives, propagate
     from womctl.prescription import strategy_to_policy
-    from womctl.infostruct import realization_at
-    from womctl.belief import SufficientState
+    from womctl.infostruct import history_slots, realization_at
 
     _topo, s, d = inst_a
     flip = {"a": "b", "b": "a"}
@@ -252,15 +279,14 @@ def test_state_step_detects_model_perturbation(inst_a):
     for prim in enumerate_primitives(s):
         traj = propagate(s, d, prim, g)
         for t in range(s.horizon):
-            st = SufficientState(
-                owner=2, time=t, x=traj.states[t],
-                info=realization_at(sufficient_info_labels(d, 2, t),
-                                    traj.history, 2))
+            st = (traj.states[t], tuple([
+                traj.history[i]
+                for i in history_slots(sufficient_info_labels(d, 2, t), 2)]))
             a_t = realization_at(accessible_labels(d, 2, t), traj.history, 2)
             theta = complete_prescription_at(s, d, psi, t, a_t)
             vn = tuple(prim.v[j - 1][t + 1] for j in s.agents())
             st2, _z = state_step(s_bad, d, st, prim.w[t], vn, theta)
-            if st2.x != traj.states[t + 1]:
+            if st2[0] != traj.states[t + 1]:
                 mismatch = True
     assert mismatch
 

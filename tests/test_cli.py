@@ -566,6 +566,46 @@ PINNED_STDOUT = {
 }
 
 
+# sha256 of `womctl belief` stdout per (instance, agent, history), recorded
+# before the belief tables were keyed by (x, values) tuples: the printed
+# keys and probabilities must not move
+ONE_STEP = {
+    "instance_a.wom": {"accessible": "y1@0=a,y2@0=a", "prescriptions": [
+        {"1": {"y1@0=a": "u0", "y1@0=b": "u1"},
+         "2": {"y2@0=a": "u0", "y2@0=b": "u1"}}]},
+    "instance_b.wom": {"accessible": "-", "prescriptions": [
+        {"1": {"y1@0=a": "u0", "y1@0=b": "u1"},
+         "2": {"y2@0=a": "u1", "y2@0=b": "u0"},
+         "3": {"y3@0=a": "u0", "y3@0=b": "u1"}}]},
+}
+PINNED_BELIEF = {
+    ("instance_a.wom", "2", "empty"):
+        "45a76e2c8be85c0179696f0b04b78cebcdb3b1e1cd8ce24675fa87aac002aff3",
+    ("instance_a.wom", "2", "one-step"):
+        "b04dc7999622d280d916000220392aed01aefad2103daec23ab2f9b8ddf9d6c0",
+    ("instance_b.wom", "3", "empty"):
+        "4a27841afd19683f85b41aa8b4c6b4dc71c370639280edf840cfe996707e0b43",
+    ("instance_b.wom", "3", "one-step"):
+        "7a5c4d1c2292a93e95bd8b99d8dbb75db6bcd4059279ff185acbd79a5c0c21e7",
+}
+
+
+@pytest.mark.parametrize("key", PINNED_BELIEF, ids="-".join)
+def test_belief_command_prints_the_recorded_bytes(key, tmp_path):
+    name, agent, history = key
+    path = tmp_path / "history.json"
+    path.write_text(json.dumps(
+        {"accessible": "-", "prescriptions": []} if history == "empty"
+        else ONE_STEP[name]), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["belief", "--scenario", fixture_path(name),
+                         "--agent", agent, "--history", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == \
+        PINNED_BELIEF[key]
+
+
 @pytest.mark.parametrize("argv", PINNED_STDOUT, ids=" ".join)
 def test_pinned_commands_print_the_recorded_bytes(argv, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from womctl.belief import conditional_beliefs
+from womctl.belief import conditional_beliefs, sufficient_info_labels
 from womctl.errors import DomainMismatch
 from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import (
@@ -276,8 +276,9 @@ def test_support_prescriptions_keep_the_nested_product_on_dp_beliefs(inst_a):
     for reps in dp.reps:
         for pi in reps:
             doms = [prescription_domain(d, K, j, pi.time) for j in s.agents()]
-            reached = [{state.info.restrict(dom) for state, _p in pi.support()}
-                       for dom in doms]
+            info = sufficient_info_labels(d, K, pi.time)
+            reached = [{Realization(tuple(zip(info, values))).restrict(dom)
+                        for (_x, values), _p in pi.support()} for dom in doms]
             options = support_prescriptions(s, K, pi.time, doms, reached)
             want = _nested_support_prescriptions(s, K, pi.time, doms, reached)
             assert [theta.parts for theta in options] == want

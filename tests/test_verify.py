@@ -21,7 +21,6 @@ import pytest
 import womctl.verify as verify
 from womctl.belief import (
     BELIEF_TOL,
-    SufficientState,
     belief_from_scratch,
     belief_prescriptions,
     sufficient_info_labels,
@@ -29,7 +28,7 @@ from womctl.belief import (
 from womctl.cli import main
 from womctl.errors import EnumerationCapExceeded
 from womctl.fixtures import instance_a
-from womctl.infostruct import Realization, accessible_labels, memory_labels
+from womctl.infostruct import accessible_labels, memory_labels
 from womctl.randgen import random_scenario, random_topology, sub_rng
 from womctl.scenario import PrimitiveAssignments
 from womctl.topology import DelayMatrix, min_delay_matrix
@@ -292,11 +291,9 @@ def _member_conditional(d, node, members):
     primitive assignments it holds."""
     weight = sum(p for p, _x, _values in members)
     info = sufficient_info_labels(d, node.agent, node.time)
-    conditional: dict[SufficientState, float] = {}
+    conditional: dict[tuple, float] = {}
     for p, x, values in members:
-        st = SufficientState(owner=node.agent, time=node.time, x=x,
-                             info=Realization(tuple(
-                                 (l, values[l]) for l in info)))
+        st = (x, tuple(values[l] for l in info))
         conditional[st] = conditional.get(st, 0.0) + p / weight
     return weight, conditional
 
@@ -437,11 +434,11 @@ FAULTS = {
         else real(s, d, g, k, *a)),
     "evaluate_strategy": lambda real: lambda s, *a: (
         real(s, *a) + (0.5 if s.agent_count == 1 else 0.0)),
-    "state_step": lambda real: lambda s, d, st, *a: (
-        (lambda st2, z: (dataclasses.replace(st2, x="?"), z))(
-            *real(s, d, st, *a)) if st.owner == 2 else real(s, d, st, *a)),
-    "stage_cost_hat": lambda real: lambda s, st, *a: (
-        real(s, st, *a) + (1.0 if st.time == 1 else 0.0)),
+    "state_step": lambda real: lambda s, d, st, w, vn, theta: (
+        (lambda st2, z: (("?", st2[1]), z))(*real(s, d, st, w, vn, theta))
+        if theta.owner == 2 else real(s, d, st, w, vn, theta)),
+    "stage_cost_hat": lambda real: lambda s, st, theta, d: (
+        real(s, st, theta, d) + (1.0 if theta.time == 1 else 0.0)),
     "brute_force_optimal": lambda real: lambda s, *a: (
         _offset_value(real(s, *a)) if s.agent_count == 1 else real(s, *a)),
     "domain_comparison": lambda real: lambda s, d: (
