@@ -95,7 +95,7 @@ def sufficient_state_space(s: Scenario, d: DelayMatrix, k: int, t: int,
     shared label once, which is exactly the consistency requirement.
     """
     info = sufficient_info_labels(d, k, t)
-    return [(x, tuple([v for _l, v in r.items])) for x in s.state_space.values
+    return [(x, r.values) for x in s.state_space.values
             for r in enumerate_realizations(s, info, cap)]
 
 

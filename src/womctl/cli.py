@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
         "agent": res.agent,
         "value": res.value,
         "candidates": res.candidates,
-        "argmin": (policy_json(res.argmin) if res.method == "brute"
+        "argmin": (policy_json(d, res.argmin) if res.method == "brute"
                    else strategy_json(s, res.argmin)),
     }
     if args.timings:

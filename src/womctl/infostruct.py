@@ -106,6 +106,11 @@ class Realization:
     def domain(self) -> InfoSet:
         return InfoSet(tuple([l for l, _ in self.items]))
 
+    @property
+    def values(self) -> tuple[str, ...]:
+        """The values alone, in label order."""
+        return tuple([v for _l, v in self.items])
+
     def restrict(self, labels: InfoSet) -> "Realization":
         have = dict(self.items)
         try:

@@ -144,7 +144,7 @@ def policy_to_strategy(s: Scenario, d: DelayMatrix, g: Policy, k: int,
         dom_reals = enumerate_realizations(s, dom, cap)
         return lambda a: PrescriptionFunction(
             owner=k, target=j, time=t, domain=dom,
-            table={l: g_table.get(a.merge(l), fallback) for l in dom_reals})
+            table={l: g_table.get(a.merge(l).values, fallback) for l in dom_reals})
     return total_strategy(s, d, k, rows, cap)
 
 

@@ -22,9 +22,8 @@ from .errors import (
     WomctlError,
     check_cap,
 )
-from .infostruct import (DEFAULT_ENUM_CAP, Realization, act,
-                         enumerate_realizations, history_slots, memory_labels,
-                         obs, realization_at)
+from .infostruct import (DEFAULT_ENUM_CAP, act, enumerate_realizations,
+                         history_slots, memory_labels, obs)
 from .topology import DelayMatrix, Topology, min_delay_matrix
 
 if TYPE_CHECKING:
@@ -250,19 +249,19 @@ class Trajectory:
 
 @dataclass
 class Policy:
-    """Per-agent, per-time action tables keyed by memory realizations."""
+    """Per-agent, per-time action tables keyed by memory values in label order."""
 
     agent_count: int
     horizon: int
-    tables: dict[tuple[int, int], dict[Realization, str]] = field(default_factory=dict)
+    tables: dict[tuple[int, int], dict[tuple[str, ...], str]] = field(default_factory=dict)
 
-    def action(self, k: int, t: int, memory: Realization) -> str:
+    def action(self, k: int, t: int, memory: tuple[str, ...]) -> str:
         try:
             return self.tables[(k, t)][memory]
         except KeyError:
-            raise UndefinedPolicyEntry(k, t, str(memory)) from None
+            raise UndefinedPolicyEntry(k, t, memory) from None
 
-    def set_action(self, k: int, t: int, memory: Realization, u: str) -> None:
+    def set_action(self, k: int, t: int, memory: tuple[str, ...], u: str) -> None:
         self.tables.setdefault((k, t), {})[memory] = u
 
 
@@ -272,14 +271,15 @@ def total_policy(s: Scenario, d: DelayMatrix, actions,
 
     For each agent k, then time t, ``actions(k, t)`` does the pair's set-up
     and returns the map from a realization of ``memory_labels(d, k, t)`` to
-    its action, applied to each realization in canonical order.
+    its action, applied to each realization in canonical order and keyed
+    by the realization's values.
     """
     g = Policy(agent_count=s.agent_count, horizon=s.horizon)
     for k in s.agents():
         for t in s.times():
             action = actions(k, t)
             mems = enumerate_realizations(s, memory_labels(d, k, t), cap)
-            g.tables[(k, t)] = {m: action(m) for m in mems}
+            g.tables[(k, t)] = {m.values: action(m) for m in mems}
     return g
 
 
@@ -297,8 +297,8 @@ def propagate(s: Scenario, d: DelayMatrix, prim: PrimitiveAssignment,
     x = prim.x0
     for t in s.times():
         history.extend(s.h(k, t, x, prim.v[k - 1][t]) for k in s.agents())
-        u = tuple(g.action(k, t, realization_at(memory_labels(d, k, t),
-                                                 history, K))
+        u = tuple(g.action(k, t, tuple([history[i] for i in history_slots(
+                      memory_labels(d, k, t), K)]))
                   for k in s.agents())
         history.extend(u)
         costs.append(s.c(t, x, u))

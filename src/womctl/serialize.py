@@ -18,6 +18,7 @@ from .infostruct import (
     VarLabel,
     act,
     label_space,
+    memory_labels,
     obs,
 )
 from .prescription import (
@@ -90,12 +91,14 @@ def dump_json(obj) -> str:
     return json.dumps(round12(obj), sort_keys=True, indent=2) + "\n"
 
 
-def policy_json(g: Policy) -> dict:
+def policy_json(d: DelayMatrix, g: Policy) -> dict:
+    """A policy's tables, each memory printed as ``y1@0=a,u1@0=b,...`` or ``-``."""
     out = {}
     for (k, t), table in sorted(g.tables.items()):
-        out[f"agent{k}@t{t}"] = {str(m): u
-                                 for m, u in sorted(table.items(),
-                                                    key=lambda e: e[0].items)}
+        labels = memory_labels(d, k, t)
+        out[f"agent{k}@t{t}"] = {
+            ",".join([f"{l}={v}" for l, v in zip(labels, m)]) or "-": u
+            for m, u in sorted(table.items())}
     return out
 
 

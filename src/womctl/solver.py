@@ -232,7 +232,7 @@ def brute_force_optimal(s: Scenario, d: DelayMatrix,
         for j in range(K):
             for memkey, u in zip(reach[j], branch[j]):
                 policy.set_action(j + 1, t, Realization.of(
-                    zip(memlab[j + 1][t][0], memkey)), u)
+                    zip(memlab[j + 1][t][0], memkey)).values, u)
     return SolveResult(method="brute", agent=None, value=value,
                        argmin=policy, candidates=count)
 

@@ -182,9 +182,9 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     the new-information outcome. The node list is in pre-order: each node
     precedes its subtree, and subtrees follow in edge order. A node's member
     classes live only while it waits on the stack, and a leaf holds none; one
-    table per call shares equal realizations and sufficient states among the
-    nodes. Nodes popped and stacked plus a node's options (each has a child)
-    are checked against ``node_cap`` before it is expanded, and the finished
+    table per call shares equal Realizations ``a`` and ``z`` among the nodes.
+    Nodes popped and stacked plus a node's options (each has a child) are
+    checked against ``node_cap`` before it is expanded, and the finished
     tree's count after, so the cap raises exactly when the tree exceeds it.
     """
     table: dict = {}
@@ -730,7 +730,7 @@ def check_sufficient_state_determinism(case: Case):
                 for t in s.times():
                     at = {"case": name, "agent": k, "t": t}
                     info = realization_at(sufficient_info_labels(d, k, t), h, K)
-                    st = (traj.states[t], tuple([v for _l, v in info.items]))
+                    st = (traj.states[t], info.values)
                     theta = complete_prescription_at(
                         s, d, psi, t,
                         realization_at(accessible_labels(d, k, t), h, K))

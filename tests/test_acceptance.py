@@ -155,8 +155,14 @@ def test_solver_argmins_match_golden_hashes(inst_a, inst_b, solved):
     got, values = {}, {}
     for name, (_topo, s, d) in (("A", inst_a), ("B", inst_b)):
         br = solved(f"brute-{name}", lambda s=s, d=d: brute_force_optimal(s, d))
-        got[f"brute-{name}"] = sha(dump_json(policy_json(br.argmin)))
+        got[f"brute-{name}"] = sha(dump_json(policy_json(d, br.argmin)))
         values[f"brute-{name}"] = br.value.hex()
+        # the argmin's tables are keyed by memory values in label order, and
+        # propagate reads them back to the reported value
+        for (k, t), table in br.argmin.tables.items():
+            assert {len(m) for m in table} == {len(memory_labels(d, k, t))}
+        assert abs(evaluate_policy(s, d, br.argmin) - br.value) <= \
+            1e-9 * max(1.0, s.cost_bound)
         dp = solved(f"dp-{name}", lambda s=s, d=d: common_info_dp(s, d))
         got[f"dp-{name}"] = sha(dump_json(strategy_json(s, dp.argmin)))
         values[f"dp-{name}"] = dp.value.hex()

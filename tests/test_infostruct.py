@@ -16,7 +16,7 @@ from womctl.infostruct import (
 )
 from womctl.randgen import random_topology, sub_rng
 from womctl.serialize import parse_label
-from womctl.solver import brute_force_optimal, structural_search
+from womctl.solver import structural_search
 from womctl.topology import Topology, min_delay_matrix
 from womctl.verify import build_inputs
 
@@ -188,9 +188,9 @@ def test_every_route_to_a_label_hands_back_the_shared_object(inst_a):
     assert parse_label("y1@0") is obs(1, 0)
     assert parse_label(" u2@1 ") is act(2, 1)
     # the DFS solvers read values off the flat history by slot, and key
-    # their argmins by the labels of the sets they read
-    policy = brute_force_optimal(s, d).argmin
-    keys = [m for table in policy.tables.values() for m in table]
+    # structural's strategies by the labels of the sets they read (policy
+    # tables are keyed by values alone)
+    keys = []
     for by_cond in structural_search(s, d, 1).argmin.parts.values():
         keys += by_cond
         keys += [l for gamma in by_cond.values() for l in gamma.table]

@@ -66,7 +66,7 @@ def _constant_policy(s, d, u):
     for k in s.agents():
         for t in s.times():
             for m in enumerate_realizations(s, memory_labels(d, k, t)):
-                g.set_action(k, t, m, u)
+                g.set_action(k, t, m.values, u)
     return g
 
 
@@ -121,7 +121,7 @@ c t=* b u1 3.0
     for (j, t), rows in psi.parts.items():
         for cond, gamma in rows.items():
             assert gamma.domain == InfoSet(())
-            assert gamma.table[Realization(())] == g.tables[(j, t)][cond]
+            assert gamma.table[Realization(())] == g.tables[(j, t)][cond.values]
     assert strategy_to_policy(s, d, psi).tables == g.tables
 
 
@@ -335,14 +335,15 @@ def test_random_builders_draw_in_the_pinned_order():
         got[name] = (
             [sha(strategy_json(s, random_strategy(sub_rng(900, k), s, d, k)))
              for k in s.agents()],
-            sha(policy_json(random_total_policy(sub_rng(901), s, d))))
+            sha(policy_json(d, random_total_policy(sub_rng(901), s, d))))
     assert got == DRAWS
 
 
 def _assert_total_policy(s, d, g):
     assert list(g.tables) == [(k, t) for k in s.agents() for t in s.times()]
     for (k, t), table in g.tables.items():
-        assert list(table) == enumerate_realizations(s, memory_labels(d, k, t))
+        assert list(table) == [
+            m.values for m in enumerate_realizations(s, memory_labels(d, k, t))]
 
 
 def _assert_total_strategy(s, d, psi):

@@ -164,7 +164,7 @@ def _constant_policy(s, d, action_of):
         for t in s.times():
             from womctl.infostruct import enumerate_realizations
             for m in enumerate_realizations(s, memory_labels(d, k, t)):
-                g.set_action(k, t, m, action_of(k))
+                g.set_action(k, t, m.values, action_of(k))
     return g
 
 
@@ -271,8 +271,9 @@ def test_partial_policy_raises_on_reachable_memory(inst_a):
     _topo, s, d = inst_a
     g = Policy(agent_count=s.agent_count, horizon=s.horizon)
     g.tables[(1, 0)] = {}  # defined but empty
-    with pytest.raises(UndefinedPolicyEntry):
+    with pytest.raises(UndefinedPolicyEntry) as e:
         joint_distribution(s, d, g)
+    assert (e.value.agent, e.value.time) == (1, 0)
 
 
 def test_enumeration_cap_guards_joint_distribution(inst_a):

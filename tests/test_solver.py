@@ -17,8 +17,8 @@ from womctl.fixtures import instance_a, instance_b
 from womctl.infostruct import (
     DEFAULT_ENUM_CAP,
     enumerate_realizations,
+    history_slots,
     memory_labels,
-    realization_at,
 )
 from womctl.prescription import (
     CompletePrescription,
@@ -89,7 +89,7 @@ def test_one_shot_perfect_observation_picks_per_state_minimum():
     res = brute_force_optimal(s, d)
     assert abs(res.value - (0.3 * 0.4 + 0.7 * 0.2)) < 1e-12
     table = res.argmin.tables[(1, 0)]
-    actions = {next(v for _l, v in m.items): u for m, u in table.items()}
+    actions = {m[0]: u for m, u in table.items()}
     assert actions == {"a": "u0", "b": "u1"}
 
 
@@ -207,7 +207,7 @@ def test_deterministic_scenario_evaluates_to_its_single_run():
     d = min_delay_matrix(topo)
     g = Policy(agent_count=1, horizon=0)
     for m in enumerate_realizations(s, memory_labels(d, 1, 0)):
-        g.set_action(1, 0, m, "u1")
+        g.set_action(1, 0, m.values, "u1")
     assert evaluate_policy(s, d, g) == 0.9
 
 
@@ -552,8 +552,8 @@ RECORD_CASES = [(p.id, *p.values[:2]) for p in _dp_cases()] + [
     pytest.param(n, s, d, id=name)
     for n, (name, s, d) in enumerate(RECORD_CASES)])
 def test_particles_run_a_policy_to_its_exact_cost(n, s, d):
-    # drive the DFS engine by hand: each agent's memory realization is read
-    # off a particle's flat history at the slots of its memory labels, and
+    # drive the DFS engine by hand: each agent's memory values are read off
+    # a particle's flat history at the slots of its memory labels, and
     # the stage cost is charged before each advance, as the search does
     g = random_total_policy(sub_rng(902, n), s, d)
     eng = solver._Engine(s)
@@ -562,8 +562,8 @@ def test_particles_run_a_policy_to_its_exact_cost(n, s, d):
     for t in s.times():
         parts = eng.observe(t, parts)
         assert {len(h) for _p, _x, h, _c in parts} == {2 * K * t + K}
-        u_list = [tuple(g.action(k, t, realization_at(memory_labels(d, k, t),
-                                                      h, K))
+        u_list = [tuple(g.action(k, t, tuple([h[i] for i in history_slots(
+                            memory_labels(d, k, t), K)]))
                         for k in s.agents())
                   for _p, _x, h, _c in parts]
         if t < s.horizon:
