@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -59,15 +59,13 @@ def sufficient_info_labels(d: DelayMatrix, k: int, t: int) -> InfoSet:
     return out
 
 
-@dataclass
-class BeliefState:
-    """Exact probability table over agent ``owner``'s sufficient states at
-    ``time``. A state is the tuple ``(x, values)``: the plant state and the
-    values of ``sufficient_info_labels(d, owner, time)``, in that order."""
+class BeliefState(namedtuple("BeliefState", "owner time probs")):
+    """Exact probability table ``probs[state] -> float`` over agent
+    ``owner``'s sufficient states at ``time``. A state is the tuple
+    ``(x, values)``: the plant state and the values of
+    ``sufficient_info_labels(d, owner, time)``, in that order."""
 
-    owner: int
-    time: int
-    probs: dict[tuple[str, tuple[str, ...]], float]
+    __slots__ = ()
 
     def support(self) -> list[tuple[tuple[str, tuple[str, ...]], float]]:
         # keys are distinct, so the probabilities are never compared

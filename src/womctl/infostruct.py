@@ -10,7 +10,7 @@ when both hold its label; values never enter these computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -29,13 +29,11 @@ class Kind(IntEnum):
     ACT = 1
 
 
-@dataclass(frozen=True, order=True)
-class VarLabel:
-    """One random variable of the system: agent + time + observation/action."""
+class VarLabel(namedtuple("VarLabel", "agent time kind")):
+    """One random variable of the system: agent + time + observation/action
+    (a ``Kind``)."""
 
-    agent: int
-    time: int
-    kind: Kind
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{'y' if self.kind == Kind.OBS else 'u'}{self.agent}@{self.time}"
@@ -53,11 +51,33 @@ def act(agent: int, time: int) -> VarLabel:
     return VarLabel(agent, time, Kind.ACT)
 
 
-@dataclass(frozen=True)
 class InfoSet:
-    """An immutable set of labels with a canonical (agent, time, kind) order."""
+    """An immutable set of labels with a canonical (agent, time, kind) order;
+    not a tuple, as iterating it yields its labels."""
 
-    labels: tuple[VarLabel, ...]
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: tuple[VarLabel, ...]):
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return InfoSet, (self.labels,)
+
+    def __eq__(self, other):
+        if other.__class__ is InfoSet:
+            return self.labels == other.labels
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.labels,))
+
+    def __repr__(self) -> str:
+        return f"InfoSet(labels={self.labels!r})"
 
     @classmethod
     def of(cls, labels: Iterable[VarLabel]) -> "InfoSet":
@@ -91,11 +111,11 @@ class InfoSet:
 EMPTY_INFOSET = InfoSet(())
 
 
-@dataclass(frozen=True)
-class Realization:
-    """An assignment of concrete values to every label of one InfoSet."""
+class Realization(namedtuple("Realization", "items")):
+    """An assignment of concrete values to every label of one InfoSet: a
+    tuple of (label, value) pairs in label order."""
 
-    items: tuple[tuple[VarLabel, str], ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, mapping) -> "Realization":

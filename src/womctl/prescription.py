@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainMismatch, UndefinedPolicyEntry, WomctlError
 from .infostruct import (
@@ -27,22 +27,18 @@ from .scenario import Policy, Scenario, total_policy
 from .topology import DelayMatrix
 
 
-@dataclass(frozen=True)
-class PrescriptionFunction:
-    """A table from private-information realizations to one agent's actions.
+class PrescriptionFunction(namedtuple(
+        "PrescriptionFunction", "owner target time domain table default",
+        defaults=(None,))):
+    """A table from private-information realizations to one agent's actions:
+    agent ``owner``'s prescription for ``target`` at ``time``, its ``table``
+    keyed by realizations of the ``InfoSet`` ``domain``.
 
     ``table`` may be partial when paired with a ``default`` action; lookups
     outside the declared domain always fail.
     """
 
-    owner: int
-    target: int
-    time: int
-    domain: InfoSet
-    table: dict[Realization, str]
-    default: str | None = None
-
-    __hash__ = None  # equality compares tables, which are not hashable
+    __slots__ = ()
 
 
 def act(gamma: PrescriptionFunction, l: Realization) -> str:
@@ -55,29 +51,32 @@ def act(gamma: PrescriptionFunction, l: Realization) -> str:
     return u
 
 
-@dataclass(frozen=True)
-class CompletePrescription:
-    """One prescription per target agent, all held by the same owner."""
+class CompletePrescription(namedtuple("CompletePrescription",
+                                      "owner time parts")):
+    """One prescription per target agent, all held by the same owner; part j
+    must target agent j however it is built (see ``FiniteSpace``)."""
 
-    owner: int
-    time: int
-    parts: tuple[PrescriptionFunction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for j, g in enumerate(self.parts, start=1):
+    def __new__(cls, owner: int, time: int,
+                parts: tuple[PrescriptionFunction, ...]):
+        for j, g in enumerate(parts, start=1):
             if g.target != j:
                 raise WomctlError(
                     f"part {j} of a complete prescription targets agent {g.target}")
+        return super().__new__(cls, owner, time, parts)
+
+    @classmethod
+    def _make(cls, fields) -> "CompletePrescription":
+        return cls(*fields)
 
 
-@dataclass
-class FullStrategy:
-    """An agent's prescription strategy for every target and time."""
+class FullStrategy(namedtuple("FullStrategy",
+                              "owner agent_count horizon parts")):
+    """An agent's prescription strategy for every target and time:
+    ``parts[(j, t)][conditioning realization] -> PrescriptionFunction``."""
 
-    owner: int
-    agent_count: int
-    horizon: int
-    parts: dict[tuple[int, int], dict[Realization, PrescriptionFunction]]
+    __slots__ = ()
 
     def gamma(self, j: int, t: int, conditioning: Realization) -> PrescriptionFunction:
         try:

@@ -266,7 +266,7 @@ def random_scenario(rng: Rng, topology: Topology, horizon: int,
         transition=transition, observation=observation, cost=cost,
         init_dist=init,
         w_dists={t: w_dist for t in range(horizon + 1)},
-        v_dists=v_dists,
+        v_dists=v_dists, action_overrides={},
     )
     s.validate()
     return s

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
@@ -32,26 +32,29 @@ if TYPE_CHECKING:
 DIST_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
-    """An ordered finite set of symbolic values."""
+class FiniteSpace(namedtuple("FiniteSpace", "name values")):
+    """A named, ordered finite set of distinct symbolic values (strings),
+    checked however it is built: by a call, by ``_make``/``_replace`` or by
+    unpickling."""
 
-    name: str
-    values: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.values:
-            raise WomctlError(f"space '{self.name}' is empty")
-        if len(set(self.values)) != len(self.values):
-            raise WomctlError(f"space '{self.name}' has duplicate values")
+    def __new__(cls, name: str, values: tuple[str, ...]):
+        if not values:
+            raise WomctlError(f"space '{name}' is empty")
+        if len(set(values)) != len(values):
+            raise WomctlError(f"space '{name}' has duplicate values")
+        return super().__new__(cls, name, values)
+
+    @classmethod
+    def _make(cls, fields) -> "FiniteSpace":
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A probability table over one finite space."""
+class Distribution(namedtuple("Distribution", "space probs")):
+    """A probability table over one finite space: ``probs[value] -> float``."""
 
-    space: FiniteSpace
-    probs: dict[str, float]
+    __slots__ = ()
 
     def validate(self, name: str) -> None:
         for v, p in self.probs.items():
@@ -74,31 +77,22 @@ class Distribution:
         return values[rng.choice(len(values), [self.probs.get(v, 0.0) for v in values])]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", (
+        "agent_count horizon state_space action_spaces obs_spaces w_space "
+        "v_spaces transition observation cost init_dist w_dists v_dists "
+        "action_overrides"))):
     """Finite system model over a fixed horizon.
 
-    Tables are dense dicts: ``transition[(t, x, u_profile, w)] -> x'``,
+    Spaces are ``FiniteSpace``s, per agent k in ``action_spaces[k]``,
+    ``obs_spaces[k]`` and ``v_spaces[k]``; feasible actions are
+    time-invariant unless ``action_overrides[(k, t)]`` declares a step's own
+    set. Tables are dense dicts: ``transition[(t, x, u_profile, w)] -> x'``,
     ``observation[(k, t, x, v)] -> y`` and ``cost[(t, x, u_profile)] -> float``
-    with ``u_profile`` the tuple of actions of agents 1..K.
+    with ``u_profile`` the tuple of actions of agents 1..K. ``init_dist``,
+    ``w_dists[t]`` and ``v_dists[(k, t)]`` are ``Distribution``s.
     """
 
-    agent_count: int
-    horizon: int
-    state_space: FiniteSpace
-    action_spaces: dict[int, FiniteSpace]
-    obs_spaces: dict[int, FiniteSpace]
-    w_space: FiniteSpace
-    v_spaces: dict[int, FiniteSpace]
-    transition: dict[tuple, str]
-    observation: dict[tuple, str]
-    cost: dict[tuple, float]
-    init_dist: Distribution
-    w_dists: dict[int, Distribution]
-    v_dists: dict[tuple[int, int], Distribution]
-    # feasible actions are time-invariant unless a step declares its own set
-    action_overrides: dict[tuple[int, int], FiniteSpace] = field(
-        default_factory=dict)
+    __slots__ = ()
 
     def agents(self) -> range:
         return range(1, self.agent_count + 1)
@@ -203,29 +197,23 @@ class Scenario:
                 self.v_dists[(k, t)].validate(f"v{k}@t={t}")
 
 
-@dataclass(frozen=True)
-class PrimitiveAssignment:
-    """One joint realization of all primitive random variables."""
+class PrimitiveAssignment(namedtuple("PrimitiveAssignment", "x0 w v prob")):
+    """One joint realization of all primitive random variables, with
+    ``w[t]`` and ``v[k-1][t]``, and its probability."""
 
-    x0: str
-    w: tuple[str, ...]                 # w[t]
-    v: tuple[tuple[str, ...], ...]     # v[k-1][t]
-    prob: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple(
+        "Trajectory", "states w v history stage_costs")):
     """A complete system run, consistent with the per-step activity order.
 
-    ``history`` holds every observation and action in the flat layout of
-    ``infostruct.history_slots``; ``observations`` and ``actions`` are
-    per-agent views of it."""
+    ``states`` holds x_0 .. x_{T+1}, ``w`` w_0 .. w_T, ``v[k-1][t]`` the
+    sensor noise, and ``history`` every observation and action in the flat
+    layout of ``infostruct.history_slots``; ``observations`` and ``actions``
+    are per-agent views of it."""
 
-    states: tuple[str, ...]                          # x_0 .. x_{T+1}
-    w: tuple[str, ...]                               # w_0 .. w_T
-    v: tuple[tuple[str, ...], ...]                   # v[k-1][t]
-    history: tuple[str, ...]
-    stage_costs: tuple[float, ...]
+    __slots__ = ()
 
     def _per_agent(self, label) -> tuple[tuple[str, ...], ...]:
         K, times = len(self.v), range(len(self.w))
@@ -247,13 +235,16 @@ class Trajectory:
         return sum(self.stage_costs)
 
 
-@dataclass
-class Policy:
-    """Per-agent, per-time action tables keyed by memory values in label order."""
+class Policy(namedtuple("Policy", "agent_count horizon tables")):
+    """Per-agent, per-time action tables, ``tables[(k, t)][memory] -> u``,
+    keyed by memory values in label order; a policy built without tables
+    gets an empty dict of its own."""
 
-    agent_count: int
-    horizon: int
-    tables: dict[tuple[int, int], dict[tuple[str, ...], str]] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, agent_count: int, horizon: int, tables=None):
+        return super().__new__(cls, agent_count, horizon,
+                               {} if tables is None else tables)
 
     def action(self, k: int, t: int, memory: tuple[str, ...]) -> str:
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 from .belief import (
@@ -57,29 +57,22 @@ from .topology import DelayMatrix
 DEFAULT_POLICY_CAP = 1_000_000
 
 
-@dataclass
-class SolveResult:
-    method: str                      # "brute" | "common-info" | "structural"
-    agent: int | None
-    value: float
-    argmin: Policy | FullStrategy
-    candidates: int
+class SolveResult(namedtuple("SolveResult",
+                             "method agent value argmin candidates")):
+    """A solver's optimal value and argmin (a ``Policy`` for "brute", a
+    ``FullStrategy`` of ``agent`` for "common-info" and "structural")."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DomainRow:
-    agent: int
-    time: int
-    own_labels: int
-    common_labels: int
-    own_realizations: int
-    common_realizations: int
-    subset: bool
+DomainRow = namedtuple("DomainRow", "agent time own_labels common_labels "
+                       "own_realizations common_realizations subset")
 
 
-@dataclass
-class DomainReport:
-    rows: list[DomainRow] = field(default_factory=list)
+class DomainReport(namedtuple("DomainReport", "rows")):
+    """The ``DomainRow``s of ``domain_comparison``, in a list."""
+
+    __slots__ = ()
 
     @property
     def all_subset(self) -> bool:
@@ -433,7 +426,7 @@ def structural_search(s: Scenario, d: DelayMatrix, k: int,
 def domain_comparison(s: Scenario, d: DelayMatrix) -> DomainReport:
     """Tabulate each agent's own prescription domain against the domain the
     last agent would need for it, in labels and in realizations."""
-    report = DomainReport()
+    report = DomainReport([])
     K = s.agent_count
     for k in s.agents():
         for t in s.times():

@@ -9,7 +9,7 @@ to k generally differs from the delay from k to j.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DuplicateLink,
@@ -21,19 +21,14 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Link:
-    src: int
-    dst: int
-    delay: int
+Link = namedtuple("Link", "src dst delay")
 
 
-@dataclass(frozen=True)
-class Topology:
-    """A directed graph of agents with per-link transmission delays."""
+class Topology(namedtuple("Topology", "agent_count links")):
+    """A directed graph of agents with per-link transmission delays, its
+    links a sorted tuple of ``Link``s."""
 
-    agent_count: int
-    links: tuple[Link, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, agent_count: int, links) -> "Topology":
@@ -48,24 +43,22 @@ class Topology:
         return [l for l in self.links if l.src == agent]
 
 
-@dataclass(frozen=True)
-class InfoPath:
-    """A relay path through the network and its accumulated delay."""
+class InfoPath(namedtuple("InfoPath", "nodes total_delay")):
+    """A relay path through the network (a tuple of agents) and its
+    accumulated delay."""
 
-    nodes: tuple[int, ...]
-    total_delay: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DelayMatrix:
-    """Minimum communication delays for every ordered agent pair.
+class DelayMatrix(namedtuple("DelayMatrix", "agent_count rows")):
+    """Minimum communication delays for every ordered agent pair, as a tuple
+    of rows.
 
     ``delay(j, k)`` is the least total delay over all paths from j to k;
     the diagonal is 0 by convention.
     """
 
-    agent_count: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def delay(self, src: int, dst: int) -> int:
         return self.rows[src - 1][dst - 1]

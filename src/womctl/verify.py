@@ -14,7 +14,7 @@ import functools
 import gc
 import itertools
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterator
 
 from .belief import (
@@ -34,7 +34,6 @@ from .errors import EnumerationCapExceeded, check_cap
 from .infostruct import (
     DEFAULT_ENUM_CAP,
     InfoSet,
-    Realization,
     accessible_labels,
     act as act_label,
     clear_label_caches,
@@ -149,22 +148,15 @@ def replay_memory(t: Topology, k: int, time: int) -> InfoSet:
 
 # -- reachable conditioning histories --------------------------------------------
 
-@dataclass
-class HistoryNode:
+class HistoryNode(namedtuple(
+        "HistoryNode", "agent time accessible thetas weight belief children")):
     """One reachable conditioning class: shared realization + prescriptions,
     with its probability and the sufficient-state conditional given both.
-    Below the horizon each prescription option carries its own edges; a
+    Below the horizon each prescription option carries its own edges: a
+    ``children`` entry is ``(theta, [(z, weight, child node), ...])``. A
     leaf holds no options, as nothing reads them there."""
 
-    agent: int
-    time: int
-    accessible: Realization
-    thetas: tuple[CompletePrescription, ...]
-    weight: float
-    belief: BeliefState
-    children: list[tuple[CompletePrescription,
-                         list[tuple[Realization, float, "HistoryNode"]]]] = (
-        field(default_factory=list))
+    __slots__ = ()
 
 
 def history_tree(s: Scenario, d: DelayMatrix, k: int,
@@ -190,7 +182,7 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
     table: dict = {}
     eng = _Engine(s)
     stack = [(HistoryNode(agent=k, time=0, accessible=a0, thetas=(),
-                          weight=pa0, belief=pi0), classes)
+                          weight=pa0, belief=pi0, children=[]), classes)
              for a0, pa0, pi0, classes in reversed(
                  root_classes(eng, d, k, table, assign_cap))]
     roots = [root for root, _classes in reversed(stack)]
@@ -212,7 +204,8 @@ def history_tree(s: Scenario, d: DelayMatrix, k: int,
             for a2, z, pa2, pi2, classes2 in class_successors(
                     eng, d, k, t, classes, theta, table):
                 child = HistoryNode(agent=k, time=t + 1, accessible=a2,
-                                    thetas=thetas2, weight=pa2, belief=pi2)
+                                    thetas=thetas2, weight=pa2, belief=pi2,
+                                    children=[])
                 edges.append((z, pa2, child))
                 pending.append((child, None if child_is_leaf else classes2))
             node.children.append((theta, edges))
@@ -229,19 +222,19 @@ def theta_fingerprint(theta: CompletePrescription) -> tuple:
 
 # -- the check catalogue ----------------------------------------------------------
 
-@dataclass
 class CheckResult:
     """Running instance count and worst deviation of one check; the first
     instance whose deviation passes ``tol`` times its scale ends the check
     and is its counterexample. A boolean deviation (the instance failed)
     counts as 1.0."""
 
-    name: str
-    description: str
-    tol: float = BELIEF_TOL
-    instances: int = 0
-    worst_deviation: float = 0.0
-    counterexample: dict | None = None
+    __slots__ = ("name", "description", "tol", "instances", "worst_deviation",
+                 "counterexample")
+
+    def __init__(self, name: str, description: str, tol: float = BELIEF_TOL):
+        self.name, self.description, self.tol = name, description, tol
+        self.instances, self.worst_deviation = 0, 0.0
+        self.counterexample = None
 
     @property
     def passed(self) -> bool:
@@ -267,23 +260,20 @@ class CheckResult:
             self.counterexample = later.counterexample
 
 
-@dataclass
-class Case:
+class Case(namedtuple(
+        "Case", "seed policy_cap assign_cap graph info scenario pairs",
+        defaults=(None, None, None, False))):
     """One case of a verify run, with the settings its checks read. Each part
     feeds the checks of its kind: a random index gives a graph and an info
     part, a scenario file all three parts at once, and one case of every run
-    holds the delay-reduction pairs."""
+    holds the delay-reduction pairs.
 
-    seed: int
-    policy_cap: int
-    assign_cap: int
-    graph: tuple[str, Topology, DelayMatrix] | None = None
-    # (name, topology, delays, horizon)
-    info: tuple[str, Topology, DelayMatrix, int] | None = None
-    # (position among the run's scenario cases, name, topology, delays,
-    # scenario); the model, filter and solver checks run on these
-    scenario: tuple[int, str, Topology, DelayMatrix, Scenario] | None = None
-    pairs: bool = False
+    ``graph`` is (name, topology, delays), ``info`` (name, topology, delays,
+    horizon) and ``scenario`` (position among the run's scenario cases,
+    name, topology, delays, scenario); the model, filter and solver checks
+    run on the last."""
+
+    __slots__ = ()
 
 
 def _case_count(scenario_path: str | None, random_n: int) -> int:

@@ -9,7 +9,6 @@ optima from the solvers run on a scenario of ``Fraction`` numbers.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -210,8 +209,8 @@ def exact_scenario(s: Scenario) -> Scenario:
         return Distribution(dist.space, {v: p / total
                                          for v, p in probs.items()})
 
-    return dataclasses.replace(
-        s, cost={key: Fraction(repr(c)) for key, c in s.cost.items()},
+    return s._replace(
+        cost={key: Fraction(repr(c)) for key, c in s.cost.items()},
         init_dist=exact(s.init_dist),
         w_dists={t: exact(dist) for t, dist in s.w_dists.items()},
         v_dists={key: exact(dist) for key, dist in s.v_dists.items()})

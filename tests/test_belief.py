@@ -260,7 +260,6 @@ def test_a_state_of_the_wrong_length_is_rejected(inst_a):
 def test_state_step_detects_model_perturbation(inst_a):
     """Fault injection: an altered transition row makes the reconstructed
     step disagree with trajectories generated by the original model."""
-    import dataclasses
     from womctl.scenario import enumerate_primitives, propagate
     from womctl.prescription import strategy_to_policy
     from womctl.infostruct import history_slots, realization_at
@@ -271,7 +270,7 @@ def test_state_step_detects_model_perturbation(inst_a):
         key: (flip[x2] if key[0] == 0 and key[1] == "a" else x2)
         for key, x2 in s.transition.items()
     }
-    s_bad = dataclasses.replace(s, transition=bad_transition)
+    s_bad = s._replace(transition=bad_transition)
 
     psi = random_strategy(sub_rng(31, 0), s, d, 2)
     g = strategy_to_policy(s, d, psi)

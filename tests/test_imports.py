@@ -243,3 +243,27 @@ def test_a_solve_loads_only_the_pinned_extension_modules():
     code, *loaded = out.stdout.split()
     assert code == "0"
     assert set(loaded) <= EXTENSIONS
+
+
+# the package modules ``import womctl.cli`` loads: every one the benchmark's
+# tracer wraps, with no subcommand's import deferred
+_STARTUP = """
+import sys
+import womctl.cli
+print("dataclasses" in sys.modules, *sorted(n for n in sys.modules
+                                            if n.startswith("womctl.")))
+"""
+
+
+def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+    # records are ``collections.namedtuple`` classes: ``dataclasses`` would
+    # cost every process a code generation pass per record class at start-up
+    env = {"PYTHONPATH": str(PACKAGE.parent), "PATH": ""}
+    out = subprocess.run([sys.executable, "-S", "-c", _STARTUP],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=120)
+    loaded_dataclasses, *modules = out.stdout.split()
+    assert loaded_dataclasses == "False"
+    assert {f"womctl.{m}" for m in (
+        "scenario_io", "topology", "infostruct", "scenario", "prescription",
+        "belief", "solver", "verify", "cli")} <= set(modules)

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -434,7 +433,7 @@ def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
     # successors; only the greedy prescriptions are rebuilt, and only their
     # parts reach the strategy
     _topo, s, d = inst_a
-    made: list[weakref.ref] = []
+    made: list[int] = []  # the ids of the prescriptions built
     live_at_readout: list[int] = []
     real_prescriptions = solver.belief_prescriptions
     real_total = solver._total_strategy
@@ -447,14 +446,19 @@ def test_no_prescription_outlives_the_forward_pass(inst_a, monkeypatch):
 
         def spy(tables):
             theta = build(tables)
-            made.append(weakref.ref(theta))
+            made.append(id(theta))
             return theta
         options.build = spy
         return options
 
     def counted(*args):
         gc.collect()
-        live_at_readout.append(sum(ref() is not None for ref in made))
+        # a prescription takes no weak reference, being a tuple: count the
+        # built ones that the collector still finds
+        ids = set(made)
+        live_at_readout.append(sum(
+            type(o) is CompletePrescription and id(o) in ids
+            for o in gc.get_objects()))
         return real_total(*args)
 
     monkeypatch.setattr(solver, "belief_prescriptions", tracked)

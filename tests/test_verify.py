@@ -7,7 +7,6 @@ with their usual instance counts.
 """
 
 import concurrent.futures
-import dataclasses
 import gc
 import json
 import os
@@ -98,7 +97,7 @@ def test_offset_dp_value_fails_the_dp_checks_only(monkeypatch):
 
     def offset(*args, **kwargs):
         res = real(*args, **kwargs)
-        return dataclasses.replace(res, value=res.value + 1.0)
+        return res._replace(value=res.value + 1.0)
 
     monkeypatch.setattr(verify, "common_info_dp", offset)
     results = _results(1)
@@ -387,17 +386,17 @@ def _flip_one_action(s, psi):
     a, gamma = next(iter(rows.items()))
     l, u = next(iter(gamma.table.items()))
     other = next(v for v in s.action_space(j, t).values if v != u)
-    rows[a] = dataclasses.replace(gamma, table={**gamma.table, l: other})
-    return dataclasses.replace(psi, parts=parts)
+    rows[a] = gamma._replace(table={**gamma.table, l: other})
+    return psi._replace(parts=parts)
 
 
 def _offset_value(res):
-    return dataclasses.replace(res, value=res.value + 1.0)
+    return res._replace(value=res.value + 1.0)
 
 
 def _unsubset_last_row(report):
-    last = dataclasses.replace(report.rows[-1], subset=False)
-    return dataclasses.replace(report, rows=report.rows[:-1] + [last])
+    last = report.rows[-1]._replace(subset=False)
+    return report._replace(rows=report.rows[:-1] + [last])
 
 
 def _corrupt_graph_3(real):
@@ -409,8 +408,8 @@ def _corrupt_graph_3(real):
                 name, topo, d = case.graph
                 rows = [list(row) for row in d.rows]
                 rows[0][0] = -1
-                case.graph = (name, topo, dataclasses.replace(
-                    d, rows=tuple(map(tuple, rows))))
+                case = case._replace(graph=(name, topo, d._replace(
+                    rows=tuple(map(tuple, rows)))))
             yield case
     return build
 
